@@ -2,7 +2,8 @@
 // and figure: Table 1 (dataset and sizes), Figure 3 (Query 1/2 cold/hot
 // under Ei and ALi), the up-front ingestion comparison, and the
 // ablations (selectivity sweep, cache granularity, merge strategy,
-// derived metadata). EXPERIMENTS.md records its output.
+// derived metadata). README.md, "Reproducing the paper's evaluation",
+// shows how to run it; the repo's gated benchmark is benchmark/README.md.
 //
 // Usage:
 //

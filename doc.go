@@ -8,5 +8,7 @@
 // mSEED file format, repository generator and exploration layer as
 // separate packages. Runnable entry points are under cmd/ and examples/;
 // the benchmarks in bench_test.go regenerate the paper's Table 1 and
-// Figure 3. See README.md, DESIGN.md and EXPERIMENTS.md.
+// Figure 3. README.md describes the design section by section and, under
+// "Reproducing the paper's evaluation", how to run the experiments;
+// benchmark/README.md describes the repo's benchmark.
 package repro

@@ -60,7 +60,8 @@ func (s Scale) Samples() int64 {
 }
 
 // Predefined scales. Tiny is for -short runs, Small the default,
-// Medium for the headline numbers in EXPERIMENTS.md.
+// Medium for the headline numbers (README.md, "Reproducing the paper's
+// evaluation").
 var (
 	Tiny   = Scale{Name: "tiny", Stations: 2, Channels: 2, Days: 13, RecordsPerFile: 4, SamplesPerRecord: 500}
 	Small  = Scale{Name: "small", Stations: 4, Channels: 3, Days: 14, RecordsPerFile: 8, SamplesPerRecord: 2000}

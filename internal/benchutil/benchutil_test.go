@@ -8,7 +8,8 @@ import (
 )
 
 // These tests run the paper's experiments at tiny scale and assert the
-// SHAPES the reproduction claims (EXPERIMENTS.md), so a regression in
+// SHAPES the reproduction claims (README.md, "Reproducing the paper's
+// evaluation"), so a regression in
 // any headline result fails the test suite, not just the benchmarks.
 
 func TestScaleSelection(t *testing.T) {

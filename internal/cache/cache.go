@@ -13,7 +13,7 @@
 //
 // Policies control retention: NeverCache reproduces the paper's
 // preliminary setup ("ingested data is discarded as soon as the query
-// has been evaluated"), LRU and FIFO bound memory use.
+// has been evaluated"), LRU bounds memory use.
 package cache
 
 import (
@@ -33,12 +33,10 @@ const (
 	NeverCache Policy = iota
 	// LRU keeps the most recently used entries within the byte budget.
 	LRU
-	// FIFO evicts in insertion order.
-	FIFO
 )
 
 func (p Policy) String() string {
-	return [...]string{"never", "lru", "fifo"}[p]
+	return [...]string{"never", "lru"}[p]
 }
 
 // Granularity selects what is stored per entry.
@@ -83,7 +81,7 @@ type Config struct {
 	Policy      Policy
 	Granularity Granularity
 	// MaxBytes bounds resident cache size; <=0 means unlimited (only
-	// meaningful with LRU/FIFO).
+	// meaningful with LRU).
 	MaxBytes int64
 }
 
@@ -102,7 +100,7 @@ type Manager struct {
 
 	mu      sync.Mutex
 	entries map[string]*list.Element
-	order   *list.List          // front = most recent (LRU) / newest (FIFO)
+	order   *list.List          // front = most recently used
 	pending map[string]*Pending // in-progress streaming Puts, by URI
 	bytes   int64
 	hits    int64
@@ -175,9 +173,7 @@ func (m *Manager) Get(uri string, need Span) (*vector.Batch, bool) {
 		m.misses++
 		return nil, false
 	}
-	if m.cfg.Policy == LRU {
-		m.order.MoveToFront(el)
-	}
+	m.order.MoveToFront(el)
 	m.hits++
 	return el.Value.(*entry).batch.Share(), true
 }

@@ -103,18 +103,6 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-func TestFIFOEviction(t *testing.T) {
-	one := BatchBytes(batchOfRows(100))
-	m := New(Config{Policy: FIFO, Granularity: FileGranular, MaxBytes: one*2 + 10})
-	m.Put("a", batchOfRows(100), FullSpan())
-	m.Put("b", batchOfRows(100), FullSpan())
-	m.Get("a", FullSpan()) // FIFO ignores recency
-	m.Put("c", batchOfRows(100), FullSpan())
-	if m.Contains("a", FullSpan()) {
-		t.Error("FIFO should have evicted a (oldest)")
-	}
-}
-
 func TestPutReplaces(t *testing.T) {
 	m := New(Config{Policy: LRU, Granularity: TupleGranular})
 	m.Put("a", batchOfRows(5), Span{Lo: 0, Hi: 10})
@@ -182,7 +170,7 @@ func TestBudgetInvariantProperty(t *testing.T) {
 }
 
 func TestPolicyAndGranularityStrings(t *testing.T) {
-	if NeverCache.String() != "never" || LRU.String() != "lru" || FIFO.String() != "fifo" {
+	if NeverCache.String() != "never" || LRU.String() != "lru" {
 		t.Error("policy names wrong")
 	}
 	if FileGranular.String() != "file" || TupleGranular.String() != "tuple" {

@@ -24,10 +24,10 @@ func (e *Engine) tryDerivedAnswer(p *Prepared, bp *Breakpoint) (*Result, bool) {
 		return nil, false
 	}
 	valName := actual.Binding + "." + dataDef.Columns[e.dataValCol].Name
-	spanName := actual.Binding + "." + e.adapter.DataSpanColumn()
 
-	// The actual-data predicate may restrict only the span column.
-	if actual.Pred != nil && !predOnlyReferences(actual.Pred, spanName) {
+	// The span must be all the actual-data predicate says: a residual
+	// (another column, <>, OR) filters rows the record summaries cannot.
+	if len(bp.span.Residual) > 0 {
 		return nil, false
 	}
 
@@ -91,7 +91,7 @@ func (e *Engine) tryDerivedAnswer(p *Prepared, bp *Breakpoint) (*Result, bool) {
 			})
 		}
 	}
-	val, ok := e.derived.Answer(refs, bp.spanLo, bp.spanHi, spec.Func)
+	val, ok := e.derived.Answer(refs, bp.span.Lo, bp.span.Hi, spec.Func)
 	if !ok {
 		return nil, false
 	}
@@ -117,18 +117,6 @@ func (e *Engine) tryDerivedAnswer(p *Prepared, bp *Breakpoint) (*Result, bool) {
 	}
 	mat := &exec.Materialized{Schema: outSchema, Batches: []*vector.Batch{vector.NewBatch(col)}}
 	return &Result{Columns: columnNames(outSchema), Mat: mat}, true
-}
-
-// predOnlyReferences reports whether every column reference in pred is
-// the named column.
-func predOnlyReferences(pred expr.Expr, name string) bool {
-	ok := true
-	pred.Walk(func(x expr.Expr) {
-		if c, isCol := x.(*expr.Col); isCol && c.Name != name {
-			ok = false
-		}
-	})
-	return ok
 }
 
 // matchGlobalAggOverJoin is like matchGlobalAggOverUnion but before rule

@@ -18,6 +18,10 @@ func queryAllValues(t *testing.T, e *Engine, q string, cold bool) []vector.Value
 	if err != nil {
 		t.Fatal(err)
 	}
+	return resultValues(res)
+}
+
+func resultValues(res *Result) []vector.Value {
 	var out []vector.Value
 	for _, b := range res.Mat.Batches {
 		for r := 0; r < b.Len(); r++ {

@@ -3,10 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/exec"
 	"repro/internal/explore"
 	"repro/internal/plan"
@@ -75,9 +73,9 @@ type Breakpoint struct {
 
 	stage1Wall time.Duration
 	stage1IO   time.Duration
-	spanLo     int64
-	spanHi     int64
-	hasSpan    bool
+	// span is what σp3 says about the data-span column, for cache
+	// decisions, informativeness and the derived-metadata shortcut.
+	span plan.Span
 
 	// oracle is the statistics-free planner fed by the frozen Qf result
 	// (nil when Options.StatsPlanning is off or the metadata result is
@@ -218,14 +216,7 @@ func (e *Engine) identifyFiles(p *Prepared, bp *Breakpoint) error {
 		return fmt.Errorf("core: stage 2 with no actual-data scan")
 	}
 	actual := p.actuals[0]
-	// The span σp3 places on the data-span column, for cache decisions
-	// and informativeness.
-	bp.spanLo, bp.spanHi = math.MinInt64, math.MaxInt64
-	if actual.Pred != nil {
-		if lo, hi, ok := exec.PredSpan(actual.Pred, actual.Binding, e.adapter.DataSpanColumn()); ok {
-			bp.spanLo, bp.spanHi, bp.hasSpan = lo, hi, true
-		}
-	}
+	bp.span = plan.ColumnSpan(actual.Pred, actual.Binding+"."+e.adapter.DataSpanColumn())
 
 	var uris []string
 	if bp.qfResult == nil {
@@ -249,10 +240,7 @@ func (e *Engine) identifyFiles(p *Prepared, bp *Breakpoint) error {
 			}
 		}
 	}
-	need := cache.FullSpan()
-	if bp.hasSpan {
-		need = cache.Span{Lo: bp.spanLo, Hi: bp.spanHi}
-	}
+	need := exec.SpanNeed(bp.span)
 	bp.files = make([]plan.MountSpec, len(uris))
 	for i, u := range uris {
 		bp.files[i] = plan.MountSpec{URI: u, Cached: e.cache.Contains(u, need)}
@@ -351,19 +339,14 @@ func (e *Engine) estimate(p *Prepared, bp *Breakpoint) explore.Estimate {
 		est.Empty = est.Files == 0
 		return est
 	}
+	need := exec.SpanNeed(bp.span)
 	in := explore.EstimateInput{
-		Schema: bp.qfResult.Schema,
-		Rows:   bp.qfResult.Batches,
-		SpanLo: bp.spanLo,
-		SpanHi: bp.spanHi,
-		IsCached: func(uri string) bool {
-			need := cache.FullSpan()
-			if bp.hasSpan {
-				need = cache.Span{Lo: bp.spanLo, Hi: bp.spanHi}
-			}
-			return e.cache.Contains(uri, need)
-		},
-		Disk: e.pool.Model(),
+		Schema:   bp.qfResult.Schema,
+		Rows:     bp.qfResult.Batches,
+		SpanLo:   bp.span.Lo,
+		SpanHi:   bp.span.Hi,
+		IsCached: func(uri string) bool { return e.cache.Contains(uri, need) },
+		Disk:     e.pool.Model(),
 	}
 	if len(p.actuals) > 0 {
 		if uriCol, err := plan.CollectURIColumn(p.Dec.Qs, p.Dec.Name, p.actuals[0].Binding, e.adapter.URIColumn()); err == nil {

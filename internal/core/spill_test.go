@@ -41,8 +41,11 @@ func TestSpillDifferentialByteIdentical(t *testing.T) {
 				assertSameValues(t, q[:20], want, got)
 			}
 		}
+		// Whether a cursor ever reads a spilled prefix back depends on how
+		// the leader and its cursor are scheduled; mountsvc's
+		// TestFlightSpillsOverThreshold pins replay with a gated late joiner.
 		st := spill.MountService().Stats()
-		if st.SpilledFlights == 0 || st.SpilledBytes == 0 || st.SpillReplayReads == 0 {
+		if st.SpilledFlights == 0 || st.SpilledBytes == 0 {
 			t.Fatalf("parallelism %d: spilling engine never spilled: %+v", par, st)
 		}
 		if st.InFlightBytes != 0 || st.ReplayBytes != 0 {

@@ -339,41 +339,6 @@ func TestScanMissingTable(t *testing.T) {
 	}
 }
 
-func TestPredSpanExtraction(t *testing.T) {
-	schema := []plan.ColInfo{{Table: "D", Name: "sample_time", Kind: vector.KindTime}}
-	c := col(schema, "D.sample_time")
-	pred := expr.JoinAnd([]expr.Expr{
-		&expr.Compare{Op: expr.Gt, L: c, R: &expr.Const{Val: vector.Time(100)}},
-		&expr.Compare{Op: expr.Lt, L: c, R: &expr.Const{Val: vector.Time(200)}},
-	})
-	lo, hi, ok := PredSpan(pred, "D", "sample_time")
-	if !ok || lo != 101 || hi != 199 {
-		t.Errorf("span = [%d,%d] ok=%v, want [101,199]", lo, hi, ok)
-	}
-	// Flipped constant side.
-	flipped := &expr.Compare{Op: expr.Ge, L: &expr.Const{Val: vector.Time(500)}, R: c}
-	lo, hi, ok = PredSpan(flipped, "D", "sample_time") // 500 >= t  =>  t <= 500
-	if !ok || hi != 500 {
-		t.Errorf("flipped span hi = %d ok=%v", hi, ok)
-	}
-	// Equality pins both bounds.
-	eq := &expr.Compare{Op: expr.Eq, L: c, R: &expr.Const{Val: vector.Time(42)}}
-	lo, hi, ok = PredSpan(eq, "D", "sample_time")
-	if !ok || lo != 42 || hi != 42 {
-		t.Errorf("eq span = [%d,%d]", lo, hi)
-	}
-	// Unrelated predicate: not constrained.
-	other := &expr.Compare{Op: expr.Gt,
-		L: &expr.Col{Index: 0, Name: "D.sample_value", K: vector.KindFloat64},
-		R: &expr.Const{Val: vector.Float64(0)}}
-	if _, _, ok := PredSpan(other, "D", "sample_time"); ok {
-		t.Error("unconstrained span reported as found")
-	}
-	if _, _, ok := PredSpan(nil, "D", "sample_time"); ok {
-		t.Error("nil predicate constrained")
-	}
-}
-
 func TestMaterializedHelpers(t *testing.T) {
 	env, def := testEnv(t)
 	mat, err := Run(scanNode(def), env)

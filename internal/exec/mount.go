@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/cache"
 	"repro/internal/catalog"
@@ -17,8 +16,8 @@ import (
 // across queries, streaming, budget-gated); the operator owns what is
 // query-specific — evaluating the fused σ∘mount predicate on every
 // record batch as it arrives, and tuple-granular cache retention of the
-// rows that survived it. Mounted data is a dangling partial table: it
-// vanishes with the query unless the cache policy retains it.
+// rows inside the predicate's span. Mounted data is a dangling partial
+// table: it vanishes with the query unless the cache policy retains it.
 type mountOp struct {
 	node    *plan.Mount
 	env     *Env
@@ -29,11 +28,16 @@ type mountOp struct {
 	started  bool
 	finished bool
 
-	// Tuple-granular retention: the filtered rows and the span they
-	// cover, inserted only after the stream fully drains (a partial
-	// entry would serve wrong answers to later queries).
+	// Tuple-granular retention: the rows inside retainSpan, inserted only
+	// after the stream fully drains (a partial entry would serve wrong
+	// answers to later queries). An entry must hold every row of the span
+	// it claims, so when the fused predicate says more than its span,
+	// start splits it: pred keeps the span conjuncts, which decide what
+	// is retained, and rest the others, which the emitted rows must pass
+	// as well. Otherwise pred is the whole predicate and rest is nil.
 	retain     *Materialized
 	retainSpan cache.Span
+	pred, rest expr.Expr
 }
 
 func newMount(n *plan.Mount, env *Env) (Operator, error) {
@@ -49,17 +53,17 @@ func (m *mountOp) Schema() []plan.ColInfo { return m.schema }
 
 // start attaches the cursor to the mount service.
 func (m *mountOp) start() error {
-	span := cache.FullSpan()
-	if m.node.Pred != nil {
-		if sp, ok := predSpan(m.node.Pred, m.node.Binding, m.adapter.DataSpanColumn()); ok {
-			span = cache.Span{Lo: sp.Lo, Hi: sp.Hi}
-		}
-	}
+	sp := plan.ColumnSpan(m.node.Pred, m.node.Binding+"."+m.adapter.DataSpanColumn())
+	span := SpanNeed(sp)
+	m.pred = m.node.Pred
 	if m.env.Cache != nil &&
 		m.env.Cache.Config().Policy != cache.NeverCache &&
 		m.env.Cache.Config().Granularity == cache.TupleGranular {
 		m.retain = &Materialized{Schema: m.schema}
 		m.retainSpan = span
+		if len(sp.Residual) > 0 {
+			m.pred, m.rest = expr.JoinAnd(sp.Absorbed), expr.JoinAnd(sp.Residual)
+		}
 	}
 	env := m.env
 	cur, err := env.service().Mount(mountsvc.Request{
@@ -125,22 +129,18 @@ func (m *mountOp) Next() (*vector.Batch, error) {
 		// can be emitted downstream as-is. A client mutating this query's
 		// result materializes a private copy and can never corrupt
 		// another query riding the same extraction.
-		filtered := b
-		if m.node.Pred != nil {
-			pv, err := m.node.Pred.Eval(b)
-			if err != nil {
-				return nil, err
-			}
-			sel := vector.SelFromBools(pv)
-			if len(sel) != b.Len() {
-				filtered = b.Gather(sel)
-			}
+		filtered, err := filterBatch(b, m.pred)
+		if err != nil {
+			return nil, err
 		}
 		if m.retain != nil && filtered.Len() > 0 {
 			// The retention buffer is a second owner of these rows: it
 			// keeps its own handle so downstream mutations of the emitted
 			// batch cannot reach the future cache entry.
 			m.retain.Batches = append(m.retain.Batches, filtered.Share())
+		}
+		if filtered, err = filterBatch(filtered, m.rest); err != nil {
+			return nil, err
 		}
 		if filtered.Len() == 0 {
 			continue
@@ -201,14 +201,8 @@ func (c *cacheScanOp) Next() (*vector.Batch, error) {
 
 func (c *cacheScanOp) load() error {
 	need := cache.FullSpan()
-	var spanCol string
 	if ad, ok := c.env.Adapters.Get(c.node.Adapter); ok {
-		spanCol = ad.DataSpanColumn()
-	}
-	if c.node.Pred != nil && spanCol != "" {
-		if sp, ok := predSpan(c.node.Pred, c.node.Binding, spanCol); ok {
-			need = cache.Span{Lo: sp.Lo, Hi: sp.Hi}
-		}
+		need = SpanNeed(plan.ColumnSpan(c.node.Pred, c.node.Binding+"."+ad.DataSpanColumn()))
 	}
 	cached, ok := c.env.Cache.Get(c.node.URI, need)
 	if !ok {
@@ -237,19 +231,9 @@ func (c *cacheScanOp) load() error {
 	// by emitChunk below) costs no copy, and a consumer mutating the
 	// served rows materializes its own storage without touching the
 	// cache.
-	filtered := cached
-	if c.node.Pred != nil {
-		pv, err := c.node.Pred.Eval(cached)
-		if err != nil {
-			return err
-		}
-		sel := vector.SelFromBools(pv)
-		if len(sel) != cached.Len() {
-			filtered = cached.Gather(sel)
-		}
-	}
-	c.out = filtered
-	return nil
+	var err error
+	c.out, err = filterBatch(cached, c.node.Pred)
+	return err
 }
 
 // Close implements Operator.
@@ -258,6 +242,32 @@ func (c *cacheScanOp) Close() error {
 		return c.fallback.Close()
 	}
 	return nil
+}
+
+// SpanNeed converts a span extraction into the currency of the ingestion
+// cache and the mount service: the closed span a query needs of a file,
+// or the whole file when nothing bounds it.
+func SpanNeed(sp plan.Span) cache.Span {
+	if !sp.Bounded() {
+		return cache.FullSpan()
+	}
+	return cache.Span{Lo: sp.Lo, Hi: sp.Hi}
+}
+
+// filterBatch returns the rows of b passing pred (b itself when pred is
+// nil or passes every row).
+func filterBatch(b *vector.Batch, pred expr.Expr) (*vector.Batch, error) {
+	if pred == nil {
+		return b, nil
+	}
+	pv, err := pred.Eval(b)
+	if err != nil {
+		return nil, err
+	}
+	if sel := vector.SelFromBools(pv); len(sel) != b.Len() {
+		return b.Gather(sel), nil
+	}
+	return b, nil
 }
 
 // emitChunk slices the materialized batch into batch-sized outputs.
@@ -272,109 +282,4 @@ func emitChunk(out *vector.Batch, pos *int, size int) *vector.Batch {
 	b := out.Slice(*pos, hi)
 	*pos = hi
 	return b
-}
-
-// PredSpan exposes span extraction to the engine layer: it returns the
-// inclusive [lo, hi] restriction a conjunctive predicate places on
-// binding.spanCol, with ok=false when unconstrained.
-func PredSpan(pred expr.Expr, binding, spanCol string) (lo, hi int64, ok bool) {
-	if pred == nil {
-		return 0, 0, false
-	}
-	sp, found := predSpan(pred, binding, spanCol)
-	return sp.Lo, sp.Hi, found
-}
-
-// predBounds is a half-open numeric restriction on one column extracted
-// from a conjunction.
-type predBounds struct {
-	Lo, Hi int64
-}
-
-// predSpan extracts the [Lo, Hi] bounds that a conjunctive predicate
-// places on the named span column (e.g. D.sample_time). It returns
-// ok=false when the predicate does not constrain the column.
-func predSpan(pred expr.Expr, binding, spanCol string) (predBounds, bool) {
-	if spanCol == "" {
-		return predBounds{}, false
-	}
-	qualified := binding + "." + spanCol
-	sp := predBounds{Lo: math.MinInt64, Hi: math.MaxInt64}
-	found := false
-	for _, conj := range expr.SplitAnd(pred) {
-		cmp, ok := conj.(*expr.Compare)
-		if !ok {
-			continue
-		}
-		col, colOnLeft := cmp.L.(*expr.Col)
-		if !colOnLeft {
-			if rc, ok := cmp.R.(*expr.Col); ok {
-				col = rc
-			} else {
-				continue
-			}
-		}
-		if col == nil || (col.Name != qualified && col.Name != spanCol) {
-			continue
-		}
-		var c *expr.Const
-		if colOnLeft {
-			c, ok = cmp.R.(*expr.Const)
-		} else {
-			c, ok = cmp.L.(*expr.Const)
-		}
-		if !ok || !(c.Val.Kind == vector.KindInt64 || c.Val.Kind == vector.KindTime) {
-			continue
-		}
-		op := cmp.Op
-		if !colOnLeft {
-			op = flipOp(op)
-		}
-		v := c.Val.I
-		switch op {
-		case expr.Gt:
-			if v+1 > sp.Lo {
-				sp.Lo = v + 1
-			}
-			found = true
-		case expr.Ge:
-			if v > sp.Lo {
-				sp.Lo = v
-			}
-			found = true
-		case expr.Lt:
-			if v-1 < sp.Hi {
-				sp.Hi = v - 1
-			}
-			found = true
-		case expr.Le:
-			if v < sp.Hi {
-				sp.Hi = v
-			}
-			found = true
-		case expr.Eq:
-			if v > sp.Lo {
-				sp.Lo = v
-			}
-			if v < sp.Hi {
-				sp.Hi = v
-			}
-			found = true
-		}
-	}
-	return sp, found
-}
-
-func flipOp(op expr.CmpOp) expr.CmpOp {
-	switch op {
-	case expr.Lt:
-		return expr.Gt
-	case expr.Le:
-		return expr.Ge
-	case expr.Gt:
-		return expr.Lt
-	case expr.Ge:
-		return expr.Le
-	}
-	return op
 }

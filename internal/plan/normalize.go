@@ -247,10 +247,15 @@ func constBool(e expr.Expr) (bool, bool) {
 	return c.Val.B, true
 }
 
+// intish reports the kinds compared and computed as int64.
+func intish(k vector.Kind) bool { return k == vector.KindInt64 || k == vector.KindTime }
+
+// isNaN reports a float NaN: the one numeric value comparisons do not order.
+func isNaN(v vector.Value) bool { return v.Kind == vector.KindFloat64 && v.F != v.F }
+
 // compareConsts orders two constant values when their kinds are
 // comparable, mirroring the executor's comparison semantics.
 func compareConsts(a, b vector.Value) (int, bool) {
-	intish := func(k vector.Kind) bool { return k == vector.KindInt64 || k == vector.KindTime }
 	numeric := func(k vector.Kind) bool { return intish(k) || k == vector.KindFloat64 }
 	switch {
 	case numeric(a.Kind) && numeric(b.Kind):
@@ -306,7 +311,6 @@ func cmpHolds(op expr.CmpOp, cmp int) bool {
 // truncating division, a float operand promotes to float64. Division by
 // zero never folds — the error stays a runtime error.
 func foldArith(op expr.ArithOp, a, b vector.Value) (vector.Value, bool) {
-	intish := func(k vector.Kind) bool { return k == vector.KindInt64 || k == vector.KindTime }
 	if !a.IsNumeric() || !b.IsNumeric() {
 		return vector.Value{}, false
 	}

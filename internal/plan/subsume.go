@@ -163,7 +163,7 @@ func makeIntervalConjunct(col *expr.Col, op expr.CmpOp, v vector.Value) (interva
 	if !comparableKinds(col.K, v.Kind) {
 		return intervalConjunct{}, false
 	}
-	if v.Kind == vector.KindFloat64 && v.F != v.F { // NaN
+	if isNaN(v) {
 		return intervalConjunct{}, false
 	}
 	return intervalConjunct{col: col, op: op, val: v}, true

@@ -49,53 +49,6 @@ type FileStats struct {
 	Records []RecordStats
 }
 
-// IntInterval is a closed integer interval; used for time/int residual
-// bounds (Lo > Hi means empty).
-type IntInterval struct {
-	Lo, Hi int64
-}
-
-// FloatInterval is a float interval with independently open/closed
-// endpoints, for residual bounds on float columns where the +1/-1
-// closing trick doesn't apply.
-type FloatInterval struct {
-	Lo, Hi             float64
-	LoStrict, HiStrict bool // true: endpoint excluded
-}
-
-// contains reports whether v satisfies the interval.
-func (iv FloatInterval) contains(v float64) bool {
-	if iv.LoStrict {
-		if !(v > iv.Lo) {
-			return false
-		}
-	} else if !(v >= iv.Lo) {
-		return false
-	}
-	if iv.HiStrict {
-		return v < iv.Hi
-	}
-	return v <= iv.Hi
-}
-
-// disjoint reports whether the closed interval [lo, hi] has no point in
-// common with iv. NaN summary bounds never prove disjointness.
-func (iv FloatInterval) disjoint(lo, hi float64) bool {
-	if math.IsNaN(lo) || math.IsNaN(hi) {
-		return false
-	}
-	if iv.LoStrict && hi <= iv.Lo {
-		return true
-	}
-	if !iv.LoStrict && hi < iv.Lo {
-		return true
-	}
-	if iv.HiStrict && lo >= iv.Hi {
-		return true
-	}
-	return !iv.HiStrict && lo > iv.Hi
-}
-
 // PruneReport summarizes one PruneFiles pass.
 type PruneReport struct {
 	PrunedFiles     int
@@ -112,14 +65,12 @@ type Oracle struct {
 	derived    *derived.Store
 	files      map[string]*FileStats
 
-	// Residual predicate bounds over the actual-data scan, extracted
-	// from the top-level AND conjuncts of the Qs residual.
-	spanName string // qualified span column, e.g. "D.sample_time"
-	spanInt  IntInterval
-	hasSpan  bool
-	valName  string // qualified value column, e.g. "D.sample_value"
-	valInt   FloatInterval
-	hasVal   bool
+	// What the Qs residual over the actual-data scan says about the span
+	// (time) and value (float) columns, as plan's extractor reports it.
+	// Conjuncts it could not absorb only weaken the intervals, so pruning
+	// stays sound.
+	span plan.Span
+	val  plan.Interval
 }
 
 // New creates an Oracle for the named frozen Qf result with qfRows rows.
@@ -162,160 +113,38 @@ func (o *Oracle) File(uri string) *FileStats {
 
 // SetResidual extracts interval bounds from the Qs residual predicate
 // over the actual-data scan. spanName/valName are the qualified span
-// (time) and value (float) column names of the actual binding. Only
-// top-level AND'd Compare(col, const) conjuncts contribute — OR, NOT
-// and arithmetic are skipped, which weakens the interval and therefore
-// stays sound (pruning only gets less aggressive).
+// (time) and value (float) column names of the actual binding.
 func (o *Oracle) SetResidual(pred expr.Expr, spanName, valName string) {
-	o.spanName, o.valName = spanName, valName
-	if pred == nil {
-		return
-	}
-	for _, c := range expr.SplitAnd(pred) {
-		cmp, ok := c.(*expr.Compare)
-		if !ok {
-			continue
-		}
-		col, val, op, ok := normalizeCompare(cmp)
-		if !ok || op == expr.Ne {
-			continue
-		}
-		switch {
-		case matchesColumn(col.Name, spanName) &&
-			(val.Kind == vector.KindInt64 || val.Kind == vector.KindTime):
-			o.narrowSpan(op, val.I)
-		case matchesColumn(col.Name, valName) && val.IsNumeric():
-			o.narrowVal(op, val.AsFloat())
-		}
-	}
-}
-
-// normalizeCompare puts a Compare into col-OP-const form, flipping the
-// operator when the constant is on the left.
-func normalizeCompare(cmp *expr.Compare) (*expr.Col, vector.Value, expr.CmpOp, bool) {
-	if col, ok := cmp.L.(*expr.Col); ok {
-		if c, ok := cmp.R.(*expr.Const); ok {
-			return col, c.Val, cmp.Op, true
-		}
-	}
-	if col, ok := cmp.R.(*expr.Col); ok {
-		if c, ok := cmp.L.(*expr.Const); ok {
-			return col, c.Val, flipOp(cmp.Op), true
-		}
-	}
-	return nil, vector.Value{}, 0, false
-}
-
-func flipOp(op expr.CmpOp) expr.CmpOp {
-	switch op {
-	case expr.Lt:
-		return expr.Gt
-	case expr.Le:
-		return expr.Ge
-	case expr.Gt:
-		return expr.Lt
-	case expr.Ge:
-		return expr.Le
-	}
-	return op
-}
-
-// matchesColumn accepts the qualified name or its bare suffix — plans
-// carry "D.sample_time" in some places and "sample_time" in others.
-func matchesColumn(name, qualified string) bool {
-	if name == qualified || qualified == "" {
-		return name == qualified
-	}
-	for i := len(qualified) - 1; i >= 0; i-- {
-		if qualified[i] == '.' {
-			return name == qualified[i+1:]
-		}
-	}
-	return false
-}
-
-func (o *Oracle) narrowSpan(op expr.CmpOp, v int64) {
-	if !o.hasSpan {
-		o.spanInt = IntInterval{Lo: math.MinInt64, Hi: math.MaxInt64}
-		o.hasSpan = true
-	}
-	switch op {
-	case expr.Eq:
-		if v > o.spanInt.Lo {
-			o.spanInt.Lo = v
-		}
-		if v < o.spanInt.Hi {
-			o.spanInt.Hi = v
-		}
-	case expr.Gt:
-		if v+1 > o.spanInt.Lo {
-			o.spanInt.Lo = v + 1
-		}
-	case expr.Ge:
-		if v > o.spanInt.Lo {
-			o.spanInt.Lo = v
-		}
-	case expr.Lt:
-		if v-1 < o.spanInt.Hi {
-			o.spanInt.Hi = v - 1
-		}
-	case expr.Le:
-		if v < o.spanInt.Hi {
-			o.spanInt.Hi = v
-		}
-	}
-}
-
-func (o *Oracle) narrowVal(op expr.CmpOp, v float64) {
-	if !o.hasVal {
-		o.valInt = FloatInterval{Lo: math.Inf(-1), Hi: math.Inf(1)}
-		o.hasVal = true
-	}
-	switch op {
-	case expr.Eq:
-		if v > o.valInt.Lo || (v == o.valInt.Lo && !o.valInt.LoStrict) {
-			o.valInt.Lo, o.valInt.LoStrict = v, false
-		}
-		if v < o.valInt.Hi || (v == o.valInt.Hi && !o.valInt.HiStrict) {
-			o.valInt.Hi, o.valInt.HiStrict = v, false
-		}
-	case expr.Gt:
-		if v >= o.valInt.Lo {
-			o.valInt.Lo, o.valInt.LoStrict = v, true
-		}
-	case expr.Ge:
-		if v > o.valInt.Lo {
-			o.valInt.Lo, o.valInt.LoStrict = v, false
-		}
-	case expr.Lt:
-		if v <= o.valInt.Hi {
-			o.valInt.Hi, o.valInt.HiStrict = v, true
-		}
-	case expr.Le:
-		if v < o.valInt.Hi {
-			o.valInt.Hi, o.valInt.HiStrict = v, false
-		}
+	o.span = plan.ColumnSpan(pred, spanName)
+	if o.derived != nil { // value bounds prune only against derived summaries
+		o.val, _ = plan.ColumnInterval(pred, valName)
 	}
 }
 
 // SpanInterval exposes the extracted span bounds (for tests and
 // explain output). ok is false when the residual constrains nothing.
-func (o *Oracle) SpanInterval() (IntInterval, bool) { return o.spanInt, o.hasSpan }
+func (o *Oracle) SpanInterval() (plan.Span, bool) { return o.span, o.span.Bounded() }
 
 // ValueInterval exposes the extracted value bounds.
-func (o *Oracle) ValueInterval() (FloatInterval, bool) { return o.valInt, o.hasVal }
+func (o *Oracle) ValueInterval() (plan.Interval, bool) { return o.val, o.val.HasLo || o.val.HasHi }
+
+// spanPruned reports whether the record's metadata span misses the span
+// interval entirely.
+func (o *Oracle) spanPruned(rec RecordStats) bool {
+	return o.span.Bounded() && (rec.SpanHi < o.span.Lo || rec.SpanLo > o.span.Hi)
+}
 
 // PrunableRecord reports whether the record provably contributes no
 // qualifying row: its metadata span misses the span interval entirely,
 // or a derived summary proves every value in it misses the value
 // interval. Exported so property tests can drive it directly.
 func (o *Oracle) PrunableRecord(uri string, rec RecordStats) bool {
-	if o.hasSpan && (rec.SpanHi < o.spanInt.Lo || rec.SpanLo > o.spanInt.Hi) {
+	if o.spanPruned(rec) {
 		return true
 	}
-	if o.hasVal && o.derived != nil {
+	if o.val.HasLo || o.val.HasHi {
 		if s, ok := o.derived.Lookup(uri, rec.RecordID); ok && s.Count > 0 &&
-			o.valInt.disjoint(s.Min, s.Max) {
+			o.val.Disjoint(vector.Float64(s.Min), vector.Float64(s.Max)) {
 			return true
 		}
 	}
@@ -329,8 +158,7 @@ func (o *Oracle) PrunableRecord(uri string, rec RecordStats) bool {
 func (o *Oracle) survivors(fs *FileStats) (spanRows, totalRows int64, any bool) {
 	for _, rec := range fs.Records {
 		totalRows += rec.Rows
-		spanPruned := o.hasSpan && (rec.SpanHi < o.spanInt.Lo || rec.SpanLo > o.spanInt.Hi)
-		if !spanPruned {
+		if !o.spanPruned(rec) {
 			spanRows += rec.Rows
 		}
 		if !o.PrunableRecord(fs.URI, rec) {
@@ -372,7 +200,7 @@ func (o *Oracle) PruneFiles(files []plan.MountSpec) ([]plan.MountSpec, PruneRepo
 // non-empty file.
 func (o *Oracle) EstimateBytes(uri string) int64 {
 	fs := o.files[uri]
-	if fs == nil || fs.Bytes == 0 || !o.hasSpan {
+	if fs == nil || fs.Bytes == 0 || !o.span.Bounded() {
 		return 0
 	}
 	spanRows, totalRows, _ := o.survivors(fs)

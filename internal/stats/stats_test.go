@@ -25,86 +25,6 @@ const (
 	valCol  = "D.sample_value"
 )
 
-func TestSetResidualSpanBounds(t *testing.T) {
-	o := New("Qf", 10, nil)
-	pred := expr.JoinAnd([]expr.Expr{
-		cmp(expr.Gt, col(spanCol, vector.KindTime), timeConst(100)),
-		cmp(expr.Le, col(spanCol, vector.KindTime), timeConst(200)),
-	})
-	o.SetResidual(pred, spanCol, valCol)
-	iv, ok := o.SpanInterval()
-	if !ok || iv.Lo != 101 || iv.Hi != 200 {
-		t.Fatalf("span interval = %+v ok=%v, want [101,200]", iv, ok)
-	}
-	if _, ok := o.ValueInterval(); ok {
-		t.Fatal("value interval set with no value conjunct")
-	}
-}
-
-func TestSetResidualConstOnLeft(t *testing.T) {
-	o := New("Qf", 10, nil)
-	// 100 < D.sample_time is D.sample_time > 100.
-	o.SetResidual(cmp(expr.Lt, timeConst(100), col(spanCol, vector.KindTime)), spanCol, valCol)
-	iv, ok := o.SpanInterval()
-	if !ok || iv.Lo != 101 {
-		t.Fatalf("flipped interval = %+v ok=%v, want Lo=101", iv, ok)
-	}
-}
-
-func TestSetResidualSkipsDisjunctions(t *testing.T) {
-	o := New("Qf", 10, nil)
-	// An OR must not narrow anything — it doesn't hold conjunctively.
-	or := &expr.Logic{
-		Op: expr.OpOr,
-		L:  cmp(expr.Gt, col(spanCol, vector.KindTime), timeConst(100)),
-		R:  cmp(expr.Lt, col(spanCol, vector.KindTime), timeConst(50)),
-	}
-	o.SetResidual(or, spanCol, valCol)
-	if _, ok := o.SpanInterval(); ok {
-		t.Fatal("span narrowed from a disjunction")
-	}
-}
-
-func TestSetResidualValueBounds(t *testing.T) {
-	o := New("Qf", 10, nil)
-	pred := expr.JoinAnd([]expr.Expr{
-		cmp(expr.Gt, col(valCol, vector.KindFloat64), floatConst(1.5)),
-		cmp(expr.Le, col(valCol, vector.KindFloat64), floatConst(9.5)),
-	})
-	o.SetResidual(pred, spanCol, valCol)
-	iv, ok := o.ValueInterval()
-	if !ok || iv.Lo != 1.5 || !iv.LoStrict || iv.Hi != 9.5 || iv.HiStrict {
-		t.Fatalf("value interval = %+v ok=%v, want (1.5, 9.5]", iv, ok)
-	}
-	if !iv.contains(2) || iv.contains(1.5) || !iv.contains(9.5) || iv.contains(10) {
-		t.Fatalf("contains misbehaves for %+v", iv)
-	}
-}
-
-func TestFloatIntervalDisjoint(t *testing.T) {
-	open := FloatInterval{Lo: 1, Hi: 2, LoStrict: true, HiStrict: true}
-	cases := []struct {
-		lo, hi float64
-		want   bool
-	}{
-		{0, 0.5, true},
-		{0, 1, true},    // touches open lower endpoint only
-		{2, 3, true},    // touches open upper endpoint only
-		{1.5, 1.6, false},
-		{0, 3, false},
-		{math.NaN(), 1, false}, // NaN bound can never prove disjointness
-	}
-	for _, c := range cases {
-		if got := open.disjoint(c.lo, c.hi); got != c.want {
-			t.Errorf("disjoint(%v,%v) = %v, want %v", c.lo, c.hi, got, c.want)
-		}
-	}
-	closed := FloatInterval{Lo: 1, Hi: 2}
-	if !closed.disjoint(2.1, 3) || closed.disjoint(2, 3) || closed.disjoint(0, 1) {
-		t.Error("closed-endpoint disjointness wrong")
-	}
-}
-
 func TestAddRecordDedupes(t *testing.T) {
 	o := New("Qf", 4, nil)
 	o.AddRecord("f", 100, RecordStats{RecordID: 1, Rows: 10, SpanLo: 0, SpanHi: 9})
@@ -268,7 +188,7 @@ func TestPruningSoundnessProperty(t *testing.T) {
 			if hasSpan && (r.t < spanInt.Lo || r.t > spanInt.Hi) {
 				return false
 			}
-			if hasVal && !valInt.contains(r.v) {
+			if hasVal && valInt.Disjoint(vector.Float64(r.v), vector.Float64(r.v)) {
 				return false
 			}
 			return true
