@@ -7,8 +7,8 @@
 // (the paper's contribution), with the column store, relational engine,
 // mSEED file format, repository generator and exploration layer as
 // separate packages. Runnable entry points are under cmd/ and examples/;
-// the benchmarks in bench_test.go regenerate the paper's Table 1 and
-// Figure 3. README.md describes the design section by section and, under
-// "Reproducing the paper's evaluation", how to run the experiments;
-// benchmark/README.md describes the repo's benchmark.
+// cmd/bench regenerates the paper's Table 1 and Figure 3. README.md
+// describes the design section by section and, under "Reproducing the
+// paper's evaluation", how to run the experiments; benchmark/README.md
+// describes the repo's benchmark.
 package repro

@@ -1,14 +1,13 @@
-// Package benchutil is the experiment harness behind the paper's
-// evaluation: dataset scales, the cold/hot measurement protocol of
-// Figure 3, and the size accounting of Table 1. It is shared by the
-// testing.B benchmarks in the repository root and by cmd/bench.
+// Package benchutil is the paper's evaluation: dataset scales, the
+// cold/hot measurement protocol of Figure 3, the size accounting of
+// Table 1 and the §4–§5 ablations, printed by cmd/bench. Per-mechanism
+// numbers are the repo's benchmark (benchmark/README.md), not this.
 package benchutil
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -59,7 +58,7 @@ func (s Scale) Samples() int64 {
 	return int64(s.Files()) * int64(s.RecordsPerFile) * int64(s.SamplesPerRecord)
 }
 
-// Predefined scales. Tiny is for -short runs, Small the default,
+// Predefined scales. Tiny is for tests and CI, Small the default,
 // Medium for the headline numbers (README.md, "Reproducing the paper's
 // evaluation").
 var (
@@ -68,34 +67,18 @@ var (
 	Medium = Scale{Name: "medium", Stations: 8, Channels: 3, Days: 21, RecordsPerFile: 16, SamplesPerRecord: 4000}
 )
 
-// ScaleByName resolves a scale name, defaulting to Small.
-func ScaleByName(name string) Scale {
+// ScaleByName resolves a scale name; "" means Small, and an unknown name
+// is an error rather than a silent default.
+func ScaleByName(name string) (Scale, error) {
 	switch name {
 	case "tiny":
-		return Tiny
-	case "medium":
-		return Medium
+		return Tiny, nil
 	case "small", "":
-		return Small
+		return Small, nil
+	case "medium":
+		return Medium, nil
 	}
-	return Small
-}
-
-// EnvScale reads the REPRO_SCALE environment variable.
-func EnvScale() Scale { return ScaleByName(os.Getenv("REPRO_SCALE")) }
-
-// DefaultParallelism, when non-zero, is applied to every engine opened
-// through OpenEngine whose options leave Parallelism unset. cmd/bench's
-// -parallelism flag and the REPRO_PARALLELISM environment variable
-// (read at init) both set it; 0 lets the engine pick GOMAXPROCS.
-var DefaultParallelism = envParallelism()
-
-func envParallelism() int {
-	n, err := strconv.Atoi(os.Getenv("REPRO_PARALLELISM"))
-	if err != nil || n < 0 {
-		return 0
-	}
-	return n
+	return Scale{}, fmt.Errorf("unknown scale %q; valid scales: tiny, small, medium", name)
 }
 
 // BuildRepo generates (once) a repository for the scale under baseDir
@@ -138,17 +121,15 @@ func OpenEngine(m *repo.Manifest, baseDir string, opts core.Options) (*core.Engi
 	}
 	opts.RepoDir = m.Dir
 	opts.DBDir = dbDir
-	if opts.Parallelism == 0 {
-		opts.Parallelism = DefaultParallelism
-	}
 	return core.Open(opts)
 }
 
 // Measurement is one timed query run: wall time plus modeled I/O.
 type Measurement struct {
-	Wall    time.Duration
-	Modeled time.Duration // wall + virtual disk time
-	Rows    int
+	Wall         time.Duration
+	Modeled      time.Duration // wall + virtual disk time
+	Rows         int
+	FilesMounted int // by the last run
 }
 
 // RunCold measures a query under the cold protocol: buffer pool flushed
@@ -167,6 +148,7 @@ func RunCold(e *core.Engine, query string, n int) (Measurement, error) {
 		total.Wall += m.Wall
 		total.Modeled += m.Modeled
 		total.Rows = m.Rows
+		total.FilesMounted = m.FilesMounted
 	}
 	total.Wall /= time.Duration(n)
 	total.Modeled /= time.Duration(n)
@@ -188,6 +170,7 @@ func RunHot(e *core.Engine, query string, n int) (Measurement, error) {
 		total.Wall += m.Wall
 		total.Modeled += m.Modeled
 		total.Rows = m.Rows
+		total.FilesMounted = m.FilesMounted
 	}
 	total.Wall /= time.Duration(n)
 	total.Modeled /= time.Duration(n)
@@ -203,9 +186,10 @@ func runOnce(e *core.Engine, query string) (Measurement, error) {
 	}
 	wall := time.Since(start)
 	return Measurement{
-		Wall:    wall,
-		Modeled: wall + (e.Clock().Elapsed() - ioBefore),
-		Rows:    res.Rows(),
+		Wall:         wall,
+		Modeled:      wall + (e.Clock().Elapsed() - ioBefore),
+		Rows:         res.Rows(),
+		FilesMounted: res.Stats.Mounts.FilesMounted,
 	}, nil
 }
 

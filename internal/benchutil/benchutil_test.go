@@ -1,6 +1,7 @@
 package benchutil
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -13,11 +14,14 @@ import (
 // any headline result fails the test suite, not just the benchmarks.
 
 func TestScaleSelection(t *testing.T) {
-	if ScaleByName("tiny").Name != "tiny" || ScaleByName("medium").Name != "medium" {
-		t.Error("named scales wrong")
+	for name, want := range map[string]string{"tiny": "tiny", "small": "small", "medium": "medium", "": "small"} {
+		if sc, err := ScaleByName(name); err != nil || sc.Name != want {
+			t.Errorf("ScaleByName(%q) = %q, %v; want %q", name, sc.Name, err, want)
+		}
 	}
-	if ScaleByName("").Name != "small" || ScaleByName("bogus").Name != "small" {
-		t.Error("default scale wrong")
+	_, err := ScaleByName("bogus")
+	if err == nil || !strings.Contains(err.Error(), "tiny, small, medium") {
+		t.Errorf("ScaleByName(bogus) error = %v, want one listing tiny, small, medium", err)
 	}
 	if Tiny.Files() != 2*2*13 || Tiny.Samples() != int64(Tiny.Files()*4*500) {
 		t.Error("scale arithmetic wrong")
@@ -165,32 +169,32 @@ func TestCacheGranularityShape(t *testing.T) {
 	}
 }
 
-func TestMergeStrategyShape(t *testing.T) {
-	s, err := ExperimentMergeStrategy(t.TempDir(), Tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Bulk <= 0 || s.PerFile <= 0 || s.NumFiles == 0 {
-		t.Fatalf("incomplete: %+v", s)
-	}
-	// Strategies must agree on the answer.
-	if diff := s.BulkVal - s.PFVal; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("strategies disagree: %v vs %v", s.BulkVal, s.PFVal)
-	}
-}
-
 func TestDerivedShape(t *testing.T) {
 	d, err := ExperimentDerived(t.TempDir(), Tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Derived metadata must beat re-mounting on the repeat query.
-	if d.RepeatWithDM >= d.RepeatNoDM {
-		t.Errorf("derived repeat %v not faster than mounting repeat %v",
-			d.RepeatWithDM, d.RepeatNoDM)
+	// Derived metadata must beat re-mounting on the repeat query. Mounts
+	// and modeled I/O say so deterministically; the wall-inclusive times
+	// the table prints depend on what else the machine is running.
+	if d.RepeatWithDMMounts != 0 {
+		t.Errorf("derived repeat mounted %d files, want 0", d.RepeatWithDMMounts)
 	}
-	if d.FirstRun < d.RepeatWithDM {
-		t.Error("first run should dominate the derived repeat")
+	if d.RepeatNoDMMounts == 0 {
+		t.Error("repeat without derived metadata mounted nothing")
+	}
+	// Both repeats are hot, so the mounting one may be charged no I/O
+	// either; the cold first run always is.
+	if d.RepeatWithDMIO > d.RepeatNoDMIO {
+		t.Errorf("derived repeat charged %v modeled I/O, more than the mounting repeat's %v",
+			d.RepeatWithDMIO, d.RepeatNoDMIO)
+	}
+	if d.FirstRunIO <= d.RepeatWithDMIO {
+		t.Errorf("first run charged %v modeled I/O, not more than the derived repeat's %v",
+			d.FirstRunIO, d.RepeatWithDMIO)
+	}
+	if d.String() == "" {
+		t.Error("empty rendering")
 	}
 }
 
@@ -240,41 +244,3 @@ func TestFormatHelpers(t *testing.T) {
 }
 
 func engineOptsALi() core.Options { return core.Options{Mode: core.ModeALi} }
-
-func TestFairnessShape(t *testing.T) {
-	f, err := ExperimentFairness(t.TempDir(), Tiny, 3, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.InteractiveRuns != 3*6 {
-		t.Errorf("interactive runs = %d, want 18", f.InteractiveRuns)
-	}
-	if f.GreedyRuns < 1 {
-		t.Error("greedy bulk session never completed a run")
-	}
-	if !f.Identical {
-		t.Error("interactive answers diverged under contention")
-	}
-	// The experiment's own bound is the headline assertion; it returning
-	// without error means p95 stayed bounded. Pin it explicitly anyway.
-	if f.WaitP95 > f.Bound {
-		t.Errorf("interactive p95 wait %v exceeds bound %v", f.WaitP95, f.Bound)
-	}
-	// The quota must actually bite: the greedy session can never hold
-	// more than its share — except a single file larger than the quota,
-	// which the gate admits alone.
-	ceiling := int64(f.QuotaShare * float64(f.BudgetBytes))
-	if f.MaxFileBytes > ceiling {
-		ceiling = f.MaxFileBytes
-	}
-	if f.GreedyPeakHeld > ceiling {
-		t.Errorf("greedy peak held %d exceeds its quota ceiling %d", f.GreedyPeakHeld, ceiling)
-	}
-	// Bad parameters are errors, mirroring cmd/bench's flag validation.
-	if _, err := ExperimentFairness(t.TempDir(), Tiny, 0, 0.5); err == nil {
-		t.Error("sessions=0 accepted")
-	}
-	if _, err := ExperimentFairness(t.TempDir(), Tiny, 2, 1.5); err == nil {
-		t.Error("quota=1.5 accepted")
-	}
-}

@@ -3,12 +3,10 @@ package benchutil
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/repo"
 )
 
 // Table1 reproduces the paper's Table 1: dataset characteristics and the
@@ -268,7 +266,7 @@ func ExperimentSweep(baseDir string, sc Scale, daySteps []int) (*Sweep, error) {
 	if err != nil {
 		return nil, err
 	}
-	ei, err := OpenEngine(m, baseDir, core.Options{Mode: core.ModeEi, SkipIndexes: true})
+	ei, err := OpenEngine(m, baseDir, core.Options{Mode: core.ModeEi})
 	if err != nil {
 		return nil, err
 	}
@@ -398,67 +396,16 @@ func ExperimentCacheGranularity(baseDir string, sc Scale) (*CacheComparison, err
 	return out, nil
 }
 
-// StrategyComparison is the merge-strategy ablation (paper §3 options
-// (a) and (b)).
-type StrategyComparison struct {
-	Scale    Scale
-	Bulk     time.Duration
-	PerFile  time.Duration
-	BulkVal  float64
-	PFVal    float64
-	NumFiles int
-}
-
-// String renders the comparison.
-func (s *StrategyComparison) String() string {
-	return fmt.Sprintf(
-		"Merge strategy ablation (scale %s, %d files of interest)\n  bulk (a):     %12s\n  per-file (b): %12s\n",
-		s.Scale.Name, s.NumFiles, s.Bulk.Round(time.Microsecond), s.PerFile.Round(time.Microsecond))
-}
-
-// ExperimentMergeStrategy compares the two second-stage strategies on an
-// aggregate touching many files.
-func ExperimentMergeStrategy(baseDir string, sc Scale) (*StrategyComparison, error) {
-	m, err := BuildRepo(baseDir, sc)
-	if err != nil {
-		return nil, err
-	}
-	q := sweepQuery(min(sc.Days, 5))
-	out := &StrategyComparison{Scale: sc}
-	for _, strat := range []core.MergeStrategy{core.StrategyBulk, core.StrategyPerFile} {
-		eng, err := OpenEngine(m, baseDir, core.Options{Mode: core.ModeALi, Strategy: strat})
-		if err != nil {
-			return nil, err
-		}
-		meas, err := RunHot(eng, q, 3)
-		if err != nil {
-			eng.Close()
-			return nil, err
-		}
-		res, err := eng.Query(q)
-		if err != nil {
-			eng.Close()
-			return nil, err
-		}
-		if strat == core.StrategyBulk {
-			out.Bulk = meas.Modeled
-			out.BulkVal = res.Float(0, 0)
-			out.NumFiles = res.Stats.FilesOfInterest
-		} else {
-			out.PerFile = meas.Modeled
-			out.PFVal = res.Float(0, 0)
-		}
-		eng.Close()
-	}
-	return out, nil
-}
-
 // DerivedComparison is the derived-metadata ablation (paper §5).
 type DerivedComparison struct {
 	Scale        Scale
 	FirstRun     time.Duration // mounts, derives summaries
 	RepeatNoDM   time.Duration // re-mounts everything
 	RepeatWithDM time.Duration // answered from summaries
+	// The same three runs free of wall time: the modeled I/O each was
+	// charged and the files one repeat mounted.
+	FirstRunIO, RepeatNoDMIO, RepeatWithDMIO time.Duration
+	RepeatNoDMMounts, RepeatWithDMMounts     int
 }
 
 // String renders the comparison.
@@ -494,12 +441,15 @@ AND R.start_time < '2010-01-12T23:59:59.999'`
 		return nil, err
 	}
 	out.FirstRun = first.Modeled
+	out.FirstRunIO = first.Modeled - first.Wall
 	repeat, err := RunHot(with, q, 3)
 	if err != nil {
 		with.Close()
 		return nil, err
 	}
 	out.RepeatWithDM = repeat.Modeled
+	out.RepeatWithDMMounts = repeat.FilesMounted
+	out.RepeatWithDMIO = repeat.Modeled - repeat.Wall
 	with.Close()
 
 	without, err := OpenEngine(m, baseDir, core.Options{Mode: core.ModeALi})
@@ -512,243 +462,10 @@ AND R.start_time < '2010-01-12T23:59:59.999'`
 		return nil, err
 	}
 	out.RepeatNoDM = repeatNo.Modeled
+	out.RepeatNoDMMounts = repeatNo.FilesMounted
+	out.RepeatNoDMIO = repeatNo.Modeled - repeatNo.Wall
 	without.Close()
 	return out, nil
-}
-
-// ParallelismPoint is one worker count's cold-ALi measurements.
-type ParallelismPoint struct {
-	Workers    int
-	IngestWall time.Duration // ALi metadata-only load (wall only)
-	ColdQ1Wall time.Duration // Query 1 cold (one file of interest)
-	WideWall   time.Duration // cold all-days sweep (every file mounted)
-	WideValue  float64       // the wide aggregate, for cross-checking
-}
-
-// ParallelismSweep shows how the parallel ingestion and mount scheduler
-// scale the wall-clock side of cold ALi queries. Query 1's selection
-// leaves a single file of interest — the scheduler has nothing to
-// overlap and the point serves as an overhead check — while the wide
-// query mounts the whole repository, the regime the worker pool is for.
-// The modeled disk time is parallelism-independent by construction (the
-// same pages are charged), so the sweep reports wall time.
-type ParallelismSweep struct {
-	Scale  Scale
-	Points []ParallelismPoint
-}
-
-// String renders the sweep.
-func (p *ParallelismSweep) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Parallelism sweep (scale %s, %d files): cold ALi, wall time\n",
-		p.Scale.Name, p.Scale.Files())
-	base := time.Duration(0)
-	for _, pt := range p.Points {
-		if base == 0 {
-			base = pt.WideWall
-		}
-		fmt.Fprintf(&sb, "  workers=%-3d ingest=%-12s coldQ1=%-12s wide=%-12s (wide %s vs 1 worker)\n",
-			pt.Workers, pt.IngestWall.Round(time.Microsecond),
-			pt.ColdQ1Wall.Round(time.Microsecond),
-			pt.WideWall.Round(time.Microsecond), Ratio(base, pt.WideWall))
-	}
-	return sb.String()
-}
-
-// ExperimentParallelism measures metadata ingestion, cold Query 1 and
-// the cold all-days sweep at growing worker counts, verifying the wide
-// aggregate is identical everywhere.
-func ExperimentParallelism(baseDir string, sc Scale, workerSteps []int, runs int) (*ParallelismSweep, error) {
-	m, err := BuildRepo(baseDir, sc)
-	if err != nil {
-		return nil, err
-	}
-	wideQuery := sweepQuery(sc.Days)
-	out := &ParallelismSweep{Scale: sc}
-	var wantWide float64
-	for _, w := range workerSteps {
-		eng, err := OpenEngine(m, baseDir, core.Options{Mode: core.ModeALi, Parallelism: w})
-		if err != nil {
-			return nil, err
-		}
-		pt := ParallelismPoint{Workers: w, IngestWall: eng.Report().Wall}
-		coldOnce := func(q string) (time.Duration, *core.Result, error) {
-			var total time.Duration
-			var res *core.Result
-			for i := 0; i < runs; i++ {
-				eng.FlushCold()
-				eng.Cache().Clear()
-				start := time.Now()
-				res, err = eng.Query(q)
-				if err != nil {
-					return 0, nil, fmt.Errorf("parallelism %d: %w", w, err)
-				}
-				total += time.Since(start)
-			}
-			return total / time.Duration(runs), res, nil
-		}
-		d, _, err := coldOnce(Query1)
-		if err != nil {
-			eng.Close()
-			return nil, err
-		}
-		pt.ColdQ1Wall = d
-		d, res, err := coldOnce(wideQuery)
-		if err != nil {
-			eng.Close()
-			return nil, err
-		}
-		pt.WideWall = d
-		pt.WideValue = res.Float(0, 0)
-		eng.Close()
-		if len(out.Points) == 0 {
-			wantWide = pt.WideValue
-		} else if pt.WideValue != wantWide {
-			return nil, fmt.Errorf("parallelism %d: wide aggregate %v differs from %v at %d workers",
-				w, pt.WideValue, wantWide, out.Points[0].Workers)
-		}
-		out.Points = append(out.Points, pt)
-	}
-	return out, nil
-}
-
-// Concurrency reports the single-flight experiment: K clients issuing
-// the same cold wide query at once against one engine. Without the
-// shared mount service every client would extract every file itself
-// (K × files mounts); with it the extractions coalesce to ~one per
-// file, and the admission budget keeps peak in-flight bytes flat no
-// matter how many clients pile on.
-type Concurrency struct {
-	Scale        Scale
-	K            int
-	Files        int
-	SeqMounts    int           // K cold runs back-to-back
-	ConcMounts   int           // K cold runs at once (total across clients)
-	SingleFlight int           // requests served by riding another's flight
-	CacheServes  int           // requests served by the entry a flight cached
-	SeqWall      time.Duration // the K sequential runs
-	ConcWall     time.Duration // the K concurrent runs
-	PeakBytes    int64         // peak in-flight extraction bytes
-	Value        float64
-	Identical    bool // concurrent answers matched the sequential one
-}
-
-// String renders the experiment.
-func (c *Concurrency) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Concurrent identical cold queries (scale %s, %d files, K=%d clients)\n",
-		c.Scale.Name, c.Files, c.K)
-	fmt.Fprintf(&sb, "  sequential: %4d file-mounts in %12s (every client pays)\n",
-		c.SeqMounts, c.SeqWall.Round(time.Microsecond))
-	fmt.Fprintf(&sb, "  concurrent: %4d file-mounts in %12s (single-flight: %d joins, %d cache serves)\n",
-		c.ConcMounts, c.ConcWall.Round(time.Microsecond), c.SingleFlight, c.CacheServes)
-	fmt.Fprintf(&sb, "  mounts per file: %.2f concurrent vs %.2f sequential; peak in-flight %s; answers identical: %v\n",
-		float64(c.ConcMounts)/float64(c.Files), float64(c.SeqMounts)/float64(c.Files),
-		FormatBytes(c.PeakBytes), c.Identical)
-	return sb.String()
-}
-
-// ExperimentConcurrency measures K identical cold wide queries run
-// sequentially versus simultaneously against a single ALi engine.
-func ExperimentConcurrency(baseDir string, sc Scale, k int) (*Concurrency, error) {
-	if k < 2 {
-		k = 2
-	}
-	m, err := BuildRepo(baseDir, sc)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := OpenEngine(m, baseDir, core.Options{
-		Mode:  core.ModeALi,
-		Cache: cache.Config{Policy: cache.LRU, Granularity: cache.FileGranular},
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer eng.Close()
-	q := sweepQuery(sc.Days)
-	out := &Concurrency{Scale: sc, K: k, Files: sc.Files(), Identical: true}
-
-	// Sequential baseline: K cold runs, each paying its own mounts.
-	var want float64
-	start := time.Now()
-	for i := 0; i < k; i++ {
-		eng.FlushCold()
-		eng.Cache().Clear()
-		res, err := eng.Query(q)
-		if err != nil {
-			return nil, err
-		}
-		out.SeqMounts += res.Stats.Mounts.FilesMounted
-		want = res.Float(0, 0)
-	}
-	out.SeqWall = time.Since(start)
-	out.Value = want
-
-	// Concurrent run: K clients at once, one shared mount service.
-	eng.FlushCold()
-	eng.Cache().Clear()
-	results := make([]*core.Result, k)
-	errs := make([]error, k)
-	var wg sync.WaitGroup
-	var barrier sync.WaitGroup
-	barrier.Add(1)
-	start = time.Now()
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			barrier.Wait()
-			results[i], errs[i] = eng.Query(q)
-		}(i)
-	}
-	barrier.Done()
-	wg.Wait()
-	out.ConcWall = time.Since(start)
-	for i := 0; i < k; i++ {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		st := results[i].Stats.Mounts
-		out.ConcMounts += st.FilesMounted
-		out.SingleFlight += st.SingleFlightHits
-		out.CacheServes += st.CacheHits
-		if results[i].Float(0, 0) != want {
-			out.Identical = false
-		}
-	}
-	out.PeakBytes = eng.MountService().Stats().PeakInFlightBytes
-	return out, nil
-}
-
-// RepoManifest re-exports manifest building for cmd/bench.
-func RepoManifest(baseDir string, sc Scale) (*repo.Manifest, error) {
-	return BuildRepo(baseDir, sc)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// SweepQueryForDays exposes the selectivity-sweep query for external
-// benchmarks.
-func SweepQueryForDays(days int) string { return sweepQuery(days) }
-
-// ZoomSessionQueries exposes the zoom-in exploration session.
-func ZoomSessionQueries() []string { return zoomSession() }
-
-// FullRecordSummaryQuery is a summary query whose selection covers whole
-// records, answerable from derived metadata after the first mount.
-func FullRecordSummaryQuery() string {
-	return `SELECT AVG(D.sample_value)
-FROM F JOIN R ON F.uri = R.uri
-JOIN D ON R.uri = D.uri AND R.record_id = D.record_id
-WHERE F.station = 'ISK' AND F.channel = 'BHE'
-AND R.start_time > '2010-01-12T00:00:00.000'
-AND R.start_time < '2010-01-12T23:59:59.999'`
 }
 
 // panSession is the complementary exploration pattern: successive
@@ -773,6 +490,3 @@ AND D.sample_time > '%s' AND D.sample_time < '%s'`, lo, hi)
 		window("2010-01-12T22:15:06.000", "2010-01-12T22:15:08.000"),
 	}
 }
-
-// PanSessionQueries exposes the panning session.
-func PanSessionQueries() []string { return panSession() }

@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -110,14 +111,11 @@ type Options struct {
 	// instead of OOMing the server; a single file larger than the whole
 	// budget is admitted alone. <= 0 means unlimited.
 	MountBudgetBytes int64
-	// MountSessionQuotaBytes caps the mount-budget bytes one session
-	// (see Engine.QueryAs) may hold at once; <= 0 means no cap.
-	MountSessionQuotaBytes int64
-	// MountMaxSessionShare caps one session's mount-budget holdings as a
-	// fraction of MountBudgetBytes (0 < share <= 1); <= 0 means no cap.
-	// With both caps set the smaller wins. Either way a session at its
-	// quota blocks only itself: its requests are passed over in the
-	// admission scan, never the sessions queued behind them.
+	// MountMaxSessionShare caps the mount-budget bytes one session (see
+	// Engine.QueryAs) may hold at once, as a fraction of MountBudgetBytes
+	// (0 < share <= 1); <= 0 means no cap. A session at its quota blocks
+	// only itself: its requests are passed over in the admission scan,
+	// never the sessions queued behind them.
 	MountMaxSessionShare float64
 	// ResultCacheBytes enables the engine-wide result cache: completed
 	// query results are retained frozen, keyed by canonical plan
@@ -131,12 +129,6 @@ type Options struct {
 	// recompute-cost signal (breakpoint estimate or measured modeled
 	// time) is below it are not retained. 0 admits everything.
 	ResultCacheMinCost time.Duration
-	// ResultCacheMaxSessionShare caps one session's resident result
-	// bytes as a fraction of ResultCacheBytes: a session over its share
-	// evicts its own oldest results first, so one dashboard's fat
-	// results cannot push out everyone else's. <= 0 disables the
-	// preference (plain global LRU).
-	ResultCacheMaxSessionShare float64
 	// ResultCacheSubsumption turns on semantic result caching: on an
 	// exact-fingerprint miss, a wider cached result whose predicate
 	// provably contains the query's (predicate subsumption over
@@ -167,8 +159,6 @@ type Options struct {
 	EnableDerived bool
 	// Strategy selects the second-stage merge strategy.
 	Strategy MergeStrategy
-	// SkipIndexes disables Ei's index build (for ablation benchmarks).
-	SkipIndexes bool
 	// StatsPlanning gates the statistics-free Stage-2 planner fed by the
 	// frozen Qf result (see internal/stats). The zero value is on;
 	// StatsPlanningOff restores pre-planner behaviour for A/B runs.
@@ -203,6 +193,11 @@ type Engine struct {
 	report  IngestReport
 	allURIs []string
 	qfSeq   atomic.Int64
+
+	// texts remembers what each SQL text QueryAs has seen compiled to
+	// (see compiledText in pipeline.go); textMu guards it.
+	textMu sync.Mutex
+	texts  map[string]compiledText
 
 	// Engine-lifetime statistics-free planner counters (see stats.go).
 	statPrunedFiles     atomic.Int64
@@ -272,9 +267,8 @@ func Open(opts Options) (*Engine, error) {
 			budget = 0 // unlimited
 		}
 		rcCfg := resultcache.Config{
-			MaxBytes:        budget,
-			MinCost:         opts.ResultCacheMinCost,
-			MaxSessionShare: opts.ResultCacheMaxSessionShare,
+			MaxBytes: budget,
+			MinCost:  opts.ResultCacheMinCost,
 		}
 		if opts.SpillDir != "" {
 			rcCfg.SpillDir = filepath.Join(opts.SpillDir, "results")
@@ -295,12 +289,11 @@ func Open(opts Options) (*Engine, error) {
 	// path, so concurrent identical queries coalesce onto single flights
 	// and the admission budget holds across the whole engine.
 	svcCfg := mountsvc.Config{
-		RepoDir:           opts.RepoDir,
-		Pool:              pool,
-		Cache:             e.cache,
-		BudgetBytes:       opts.MountBudgetBytes,
-		SessionQuotaBytes: opts.MountSessionQuotaBytes,
-		MaxSessionShare:   opts.MountMaxSessionShare,
+		RepoDir:         opts.RepoDir,
+		Pool:            pool,
+		Cache:           e.cache,
+		BudgetBytes:     opts.MountBudgetBytes,
+		MaxSessionShare: opts.MountMaxSessionShare,
 	}
 	if opts.SpillDir != "" && opts.SpillThresholdBytes > 0 {
 		svcCfg.SpillDir = filepath.Join(opts.SpillDir, "flights")
@@ -337,7 +330,7 @@ func Open(opts Options) (*Engine, error) {
 			}
 			e.report.Metadata = meta
 		case ModeEi:
-			eager, err := ingest.LoadEagerParallel(store, opts.Adapter, opts.RepoDir, uris, !opts.SkipIndexes, opts.Parallelism)
+			eager, err := ingest.LoadEagerParallel(store, opts.Adapter, opts.RepoDir, uris, true, opts.Parallelism)
 			if err != nil {
 				return nil, err
 			}
@@ -345,7 +338,7 @@ func Open(opts Options) (*Engine, error) {
 			e.report.Eager = &eager
 			e.indexes = eager.Indexes
 		}
-	} else if opts.Mode == ModeEi && !opts.SkipIndexes {
+	} else if opts.Mode == ModeEi {
 		// Reopened eager database: reattach indexes.
 		infos, _, err := ingest.BuildKeyIndexes(store, opts.Adapter)
 		if err != nil {

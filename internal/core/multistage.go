@@ -100,7 +100,7 @@ func (b *Breakpoint) ProceedIncremental(batchFiles int, observe func(Partial) bo
 	stopped := false
 
 	snapshot := func(processed int) Partial {
-		row := b.finalizeStates(agg, proj, states)
+		row := finalizeStates(agg, proj, states)
 		p := Partial{
 			FilesProcessed: processed,
 			FilesTotal:     len(union.Inputs),
@@ -133,7 +133,7 @@ func (b *Breakpoint) ProceedIncremental(batchFiles int, observe func(Partial) bo
 		}
 	}
 
-	row := b.finalizeStates(agg, proj, states)
+	row := finalizeStates(agg, proj, states)
 	mat := &exec.Materialized{Schema: outSchema, Batches: []*vector.Batch{row}}
 	return b.assembleResult(mat, env, start, ioStart, stopped), nil
 }
@@ -163,7 +163,7 @@ func accumulate(agg *plan.Aggregate, states []exec.AggState, mat *exec.Materiali
 
 // finalizeStates renders the current aggregate states through the
 // optional projection into a single output row.
-func (b *Breakpoint) finalizeStates(agg *plan.Aggregate, proj *plan.Project, states []exec.AggState) *vector.Batch {
+func finalizeStates(agg *plan.Aggregate, proj *plan.Project, states []exec.AggState) *vector.Batch {
 	aggSchema := agg.Schema()
 	cols := make([]*vector.Vector, len(aggSchema))
 	for i, ci := range aggSchema {

@@ -87,8 +87,8 @@ AND R.start_time < '2010-01-12T23:59:59.999'`
 // the same file/record/byte accounting as the sequential load.
 func TestParallelIngestReportMatches(t *testing.T) {
 	m := testRepo(t)
-	seq := openEngine(t, m.Dir, Options{Mode: ModeEi, Parallelism: 1, SkipIndexes: true})
-	par := openEngine(t, m.Dir, Options{Mode: ModeEi, Parallelism: 8, SkipIndexes: true})
+	seq := openEngine(t, m.Dir, Options{Mode: ModeEi, Parallelism: 1})
+	par := openEngine(t, m.Dir, Options{Mode: ModeEi, Parallelism: 8})
 	a, b := seq.Report(), par.Report()
 	if a.Metadata.Files != b.Metadata.Files || a.Metadata.Records != b.Metadata.Records {
 		t.Fatalf("metadata accounting differs: %+v vs %+v", a.Metadata, b.Metadata)

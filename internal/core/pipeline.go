@@ -21,7 +21,9 @@ import (
 // runs the front half and stops before the probe; Stage1/Proceed (the
 // interactive breakpoint flow) and Query (end-to-end, with
 // query-granular single-flight) share the probe, the execution stages
-// and the result-cache offer on completion.
+// and the result-cache offer on completion. Query remembers what each
+// text's front half produced for the probe (compiledText), so a repeated
+// text reaches the probe without running it again.
 
 // Prepare runs the pipeline's front half: parse, bind, optimize,
 // normalize and fingerprint (plus, in ALi mode, the Q = Qf ⋈ Qs
@@ -121,19 +123,40 @@ func (e *Engine) Query(sqlText string) (*Result, error) {
 // cache's per-session eviction — the fairness unit that keeps one
 // greedy session from starving the rest.
 func (e *Engine) QueryAs(ctx context.Context, session, sqlText string) (*Result, error) {
-	p, err := e.PrepareAs(ctx, session, sqlText)
-	if err != nil {
-		return nil, err
-	}
 	if e.results == nil {
+		p, err := e.PrepareAs(ctx, session, sqlText)
+		if err != nil {
+			return nil, err
+		}
 		return p.run()
+	}
+	// A text seen before probes the result cache under the fingerprint it
+	// compiled to, and is compiled again only to lead an execution: a
+	// session going back to a window it has visited waits for a map
+	// lookup and an O(1) share, not for the compile-time optimizer.
+	var p *Prepared
+	ct, seen := e.compiledText(sqlText)
+	if !seen {
+		var err error
+		if p, err = e.PrepareAs(ctx, session, sqlText); err != nil {
+			return nil, err
+		}
+		ct = compiledText{fp: p.Fingerprint, sub: p.sub}
+		e.rememberText(sqlText, ct)
 	}
 	start := time.Now()
 	var leader *Result
 	var mat *exec.Materialized
 	var out resultcache.Outcome
+	var err error
 	for {
-		mat, out, err = e.results.Do(p.Fingerprint, session, p.sub, func() (*exec.Materialized, time.Duration, error) {
+		mat, out, err = e.results.Do(ct.fp, session, ct.sub, func() (*exec.Materialized, time.Duration, error) {
+			if p == nil {
+				var err error
+				if p, err = e.PrepareAs(ctx, session, sqlText); err != nil {
+					return nil, 0, err
+				}
+			}
 			// The flight publishes and stores the result; the stages must
 			// not offer it a second time.
 			p.inFlight = true
@@ -177,6 +200,33 @@ func (e *Engine) QueryAs(ctx context.Context, session, sqlText string) (*Result,
 	res.Stats.Stage1Wall = time.Since(start)
 	res.Stats.TotalWall = res.Stats.Stage1Wall
 	return res, nil
+}
+
+// compiledText is what a SQL text compiled to, as far as the result cache
+// needs it. Both are functions of the text and the engine's catalog,
+// which does not change after Open.
+type compiledText struct {
+	fp  plan.Fingerprint
+	sub *plan.SubsumptionInfo
+}
+
+// maxCompiledTexts bounds Engine.texts; a full map is dropped whole.
+const maxCompiledTexts = 4096
+
+func (e *Engine) compiledText(sqlText string) (compiledText, bool) {
+	e.textMu.Lock()
+	defer e.textMu.Unlock()
+	ct, ok := e.texts[sqlText]
+	return ct, ok
+}
+
+func (e *Engine) rememberText(sqlText string, ct compiledText) {
+	e.textMu.Lock()
+	defer e.textMu.Unlock()
+	if e.texts == nil || len(e.texts) >= maxCompiledTexts {
+		e.texts = make(map[string]compiledText)
+	}
+	e.texts[sqlText] = ct
 }
 
 // probeResultCache is the pipeline's probe stage: a current-epoch entry

@@ -274,7 +274,7 @@ func (b *Breakpoint) Proceed() (*Result, error) {
 
 	var mat *exec.Materialized
 	if e.opts.Strategy == StrategyPerFile {
-		mat, err = e.runPerFile(resolved, b, env)
+		mat, err = e.runPerFile(resolved, env)
 	} else {
 		mat, err = exec.Run(resolved, env)
 	}

@@ -432,3 +432,61 @@ func TestResultCacheStraddleNotRetained(t *testing.T) {
 		t.Fatal("stale straddling result served")
 	}
 }
+
+// TestRepeatedTextIsNotCompiledAgain pins QueryAs's text memo: a text
+// seen before is served from the result cache without another pass
+// through parse → fingerprint (qfSeq counts ALi compilations), is
+// compiled once more to re-execute after an invalidation, and a text
+// that does not compile is never remembered.
+func TestRepeatedTextIsNotCompiledAgain(t *testing.T) {
+	m := testRepo(t)
+	eng := openEngine(t, m.Dir, resultCacheOpts(Options{Mode: ModeALi}))
+
+	cold, err := eng.Query(query1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled := eng.qfSeq.Load()
+	hit, err := eng.Query(query1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit.Stats.ServedFromResultCache || cold.Format(0) != hit.Format(0) {
+		t.Fatalf("repeat served from cache = %v, result:\n%s", hit.Stats.ServedFromResultCache, hit.Format(0))
+	}
+	if got := eng.qfSeq.Load(); got != compiled {
+		t.Fatalf("repeat of a cached text compiled %d more times", got-compiled)
+	}
+
+	eng.NotifyFileChanged(m.Files[0].URI)
+	again, err := eng.Query(query1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Stats.ServedFromResultCache || again.Stats.Mounts.FilesMounted == 0 {
+		t.Fatalf("stale result served after invalidation: %+v", again.Stats)
+	}
+	if got := eng.qfSeq.Load(); got != compiled+1 {
+		t.Fatalf("re-execution compiled %d times, want 1", got-compiled)
+	}
+	if again.Format(0) != cold.Format(0) {
+		t.Fatal("unchanged data produced a different answer")
+	}
+
+	for i := 0; i < 2; i++ {
+		if _, err := eng.Query("SELECT nothing FROM nowhere"); err == nil {
+			t.Fatal("invalid text did not fail")
+		}
+	}
+	if _, ok := eng.compiledText("SELECT nothing FROM nowhere"); ok {
+		t.Fatal("a text that does not compile was remembered")
+	}
+
+	// The memo is bounded: filling it drops it and starts over.
+	for i := 0; i <= maxCompiledTexts; i++ {
+		eng.rememberText(fmt.Sprint("text ", i), compiledText{})
+	}
+	if n := len(eng.texts); n == 0 || n > maxCompiledTexts {
+		t.Fatalf("memo holds %d texts, bound is %d", n, maxCompiledTexts)
+	}
+}

@@ -89,6 +89,18 @@ func TestStatsPlanningPrunesFiles(t *testing.T) {
 	if ps.PrunedFiles != 2 || ps.BytesNotMounted == 0 {
 		t.Errorf("PlannerStats = %+v, want PrunedFiles 2 and bytes saved", ps)
 	}
+
+	// Pruning is a proof from the frozen Qf result, not a heuristic: a
+	// second engine reaches the same decisions, counter for counter.
+	again := openEngine(t, m.Dir, Options{Mode: ModeALi})
+	rc, err := again.Query(pruneQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rc.Stats.Mounts.FilesMounted != ms.FilesMounted || again.PlannerStats() != ps {
+		t.Errorf("second run: %d mounts, %+v; first run: %d mounts, %+v",
+			rc.Stats.Mounts.FilesMounted, again.PlannerStats(), ms.FilesMounted, ps)
+	}
 }
 
 // TestStatsPlanningHonestAdmission pins admission sizing: query1's file

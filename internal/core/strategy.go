@@ -12,7 +12,7 @@ import (
 // aggregate it executes the aggregate's input once per file of interest
 // and merges the per-file partial aggregate states; plans that are not
 // global aggregates fall back to bulk execution (strategy (a)).
-func (e *Engine) runPerFile(resolved plan.Node, bp *Breakpoint, env *exec.Env) (*exec.Materialized, error) {
+func (e *Engine) runPerFile(resolved plan.Node, env *exec.Env) (*exec.Materialized, error) {
 	proj, agg, union := matchGlobalAggOverUnion(resolved)
 	if agg == nil || union == nil {
 		return exec.Run(resolved, env)
@@ -34,66 +34,13 @@ func (e *Engine) runPerFile(resolved plan.Node, bp *Breakpoint, env *exec.Env) (
 			return exec.Run(childPlan, env)
 		},
 		func(_ int, mat *exec.Materialized) error {
-			for _, b := range mat.Batches {
-				n := b.Len()
-				for i, spec := range agg.Aggs {
-					if spec.Arg == nil {
-						for r := 0; r < n; r++ {
-							states[i].AddCount()
-						}
-						continue
-					}
-					v, err := spec.Arg.Eval(b)
-					if err != nil {
-						return err
-					}
-					for r := 0; r < n; r++ {
-						states[i].Add(v.Get(r))
-					}
-				}
-			}
-			return nil
+			return accumulate(agg, states, mat)
 		})
 	if err != nil {
 		return nil, err
 	}
-
-	// Finalize: one global row, then the projection on top.
-	aggSchema := agg.Schema()
-	cols := make([]*vector.Vector, len(aggSchema))
-	for i, ci := range aggSchema {
-		cols[i] = vector.New(ci.Kind, 1)
-	}
-	for i, st := range states {
-		v := st.Result()
-		want := aggSchema[i].Kind
-		switch {
-		case v.Kind == want:
-		case want == vector.KindFloat64:
-			v = vector.Float64(v.AsFloat())
-		case want == vector.KindInt64:
-			v = vector.Int64(v.AsInt())
-		case want == vector.KindTime:
-			v = vector.Time(v.AsInt())
-		}
-		cols[i].AppendValue(v)
-	}
-	row := vector.NewBatch(cols...)
-	if proj == nil {
-		return &exec.Materialized{Schema: aggSchema, Batches: []*vector.Batch{row}}, nil
-	}
-	outCols := make([]*vector.Vector, len(proj.Exprs))
-	for i, ex := range proj.Exprs {
-		v, err := ex.Eval(row)
-		if err != nil {
-			return nil, err
-		}
-		outCols[i] = v
-	}
-	return &exec.Materialized{
-		Schema:  proj.Schema(),
-		Batches: []*vector.Batch{vector.NewBatch(outCols...)},
-	}, nil
+	row := finalizeStates(agg, proj, states)
+	return &exec.Materialized{Schema: resolved.Schema(), Batches: []*vector.Batch{row}}, nil
 }
 
 // matchGlobalAggOverUnion recognizes Project?(Aggregate(subtree

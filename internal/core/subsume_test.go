@@ -90,6 +90,35 @@ func TestSubsumptionServesNarrowerQuery(t *testing.T) {
 	if eng.ResultCache().Stats().SubsumptionHits != 1 {
 		t.Fatal("narrow repeat re-probed the semantic index")
 	}
+
+	// The explorer's Stage1/Proceed flow probes the semantic index too: a
+	// still narrower window is answered at the breakpoint, before any
+	// file is touched, and retained for its own repetition.
+	innerQ := windowQuery("ISK", clock(30), clock(50))
+	p, err := eng.Prepare(innerQ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp, err := p.Stage1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bp.Done() || !bp.Result().Stats.ServedBySubsumption || bp.Result().Stats.Mounts.FilesMounted != 0 {
+		t.Fatalf("Stage1 did not answer the nested window by subsumption: done=%v", bp.Done())
+	}
+	if ref, err = cold.Query(innerQ); err != nil {
+		t.Fatal(err)
+	}
+	if ref.Format(0) != bp.Result().Format(0) {
+		t.Fatalf("Stage1 subsumption answer differs from cold execution:\ncold:\n%s\nserved:\n%s",
+			ref.Format(0), bp.Result().Format(0))
+	}
+	if again, err = eng.Query(innerQ); err != nil {
+		t.Fatal(err)
+	}
+	if !again.Stats.ServedFromResultCache || again.Stats.ServedBySubsumption {
+		t.Fatalf("inner repeat must be an exact hit: %+v", again.Stats)
+	}
 }
 
 func TestSubsumptionNeverServesAggregates(t *testing.T) {

@@ -209,6 +209,12 @@ func (a *Adapter) MountStream(path, uri string, keep func(catalog.RecordMeta) bo
 				return err
 			}
 		}
+		if n := len(samples); len(uris) == 0 && 2*n > batchRows {
+			// No second record of this size fits the batch: it is this
+			// record, so size the columns once instead of growing them.
+			uris, ids = make([]string, 0, n), make([]int64, 0, n)
+			times, vals = make([]int64, 0, n), make([]float64, 0, n)
+		}
 		for i, s := range samples {
 			uris = append(uris, uri)
 			ids = append(ids, int64(h.Seq))

@@ -40,21 +40,12 @@ var cowCopies atomic.Int64
 func CowCopies() int64 { return cowCopies.Load() }
 
 // forceCloneShares switches Share back to the deep-clone discipline this
-// package replaced: a differential-testing and benchmarking knob, not a
-// production mode.
+// package replaced: a differential-testing knob, not a production mode.
 var forceCloneShares atomic.Bool
-
-// forcedClones counts the deep copies Share performed while in
-// forced-clone mode: the price of the old discipline, measured.
-var forcedClones atomic.Int64
-
-// ForcedClones returns the number of deep copies Share has performed in
-// forced-clone mode since process start.
-func ForcedClones() int64 { return forcedClones.Load() }
 
 // SetForceCloneShares makes every Share return a deep Clone when on,
 // restoring the defensive-copy discipline at sharing boundaries so tests
-// and benchmarks can compare the two. It returns the previous setting.
+// can compare the two. It returns the previous setting.
 func SetForceCloneShares(on bool) bool { return forceCloneShares.Swap(on) }
 
 // Share returns a new handle over v's storage in O(1). Both handles read
@@ -63,7 +54,6 @@ func SetForceCloneShares(on bool) bool { return forceCloneShares.Swap(on) }
 // other's writes.
 func (v *Vector) Share() *Vector {
 	if forceCloneShares.Load() {
-		forcedClones.Add(1)
 		return v.Clone()
 	}
 	v.sh.refs.Add(1)
