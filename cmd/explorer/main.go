@@ -196,8 +196,8 @@ func printEngineStats(eng *core.Engine) {
 		ms.FlightsStarted, ms.SingleFlightHits, ms.CacheServes, ms.FlightsCancelled,
 		unit.FormatBytes(ms.InFlightBytes), unit.FormatBytes(ms.PeakInFlightBytes),
 		unit.FormatBytes(ms.ReplayBytes), unit.FormatBytes(ms.PeakReplayBytes))
-	fmt.Printf("spilling: %d flights spilled %s to disk, %d replay reads served from spill files\n",
-		ms.SpilledFlights, unit.FormatBytes(ms.SpilledBytes), ms.SpillReplayReads)
+	fmt.Printf("spilling: %d flights spilled %s to disk, %d replay reads served from spill files, %d spill failures kept in memory\n",
+		ms.SpilledFlights, unit.FormatBytes(ms.SpilledBytes), ms.SpillReplayReads, ms.SpillFailures)
 	fmt.Printf("admission gate: queue depth %d, %d waits, %d cancelled, %d starvation-avoided\n",
 		ms.QueueDepth, ms.BudgetWaits, ms.BudgetCancelled, ms.StarvationAvoided)
 	printPerSession("  session", ms.PerSession)

@@ -219,16 +219,16 @@ func (m *Manager) putLocked(uri string, b *vector.Batch, span Span) {
 
 // Pending is an in-progress streaming insertion started by BeginPut: the
 // entry is assembled batch by batch while a file is being mounted, and
-// becomes visible atomically at Commit. Append takes copy-on-write
-// shares: a single-batch file is adopted in O(1), and only a second
-// batch materializes a private accumulation buffer — the finished entry
-// can never observe execution-side mutations either way. All methods
-// are nil-safe (a nil Pending ignores every call), letting callers
-// thread the result of BeginPut through unconditionally.
+// becomes visible atomically at Commit. Append keeps copy-on-write
+// shares, and Commit concatenates them once (vector.Concat, outside the
+// manager lock): a single-batch file is adopted in O(1), and the
+// finished entry can never observe execution-side mutations either way.
+// All methods are nil-safe (a nil Pending ignores every call), letting
+// callers thread the result of BeginPut through unconditionally.
 type Pending struct {
-	m     *Manager
-	uri   string
-	batch *vector.Batch
+	m       *Manager
+	uri     string
+	batches []*vector.Batch
 	// aborted is set (under the manager lock) by Abort, or by Drop/Clear
 	// racing the stream: a URI invalidated mid-flight must not be
 	// resurrected by Commit.
@@ -254,11 +254,10 @@ func (m *Manager) BeginPut(uri string) *Pending {
 	return p
 }
 
-// Append adds a batch's rows to the pending entry. The first batch is
-// adopted as an O(1) share; a second batch triggers the copy-on-write
-// materialization and appends. Once the insertion is aborted (directly,
-// or by Drop/Clear racing the stream) appends become no-ops rather than
-// accumulating rows Commit will discard anyway.
+// Append adds a batch's rows to the pending entry as an O(1) share.
+// Once the insertion is aborted (directly, or by Drop/Clear racing the
+// stream) appends become no-ops rather than accumulating rows Commit
+// will discard anyway.
 func (p *Pending) Append(b *vector.Batch) {
 	if p == nil || b == nil || b.Len() == 0 {
 		return
@@ -267,16 +266,10 @@ func (p *Pending) Append(b *vector.Batch) {
 	aborted := p.aborted
 	p.m.mu.Unlock()
 	if aborted {
-		p.batch = nil
+		p.batches = nil
 		return
 	}
-	if p.batch == nil {
-		p.batch = b.Share()
-		return
-	}
-	for i, c := range b.Cols {
-		p.batch.Cols[i].AppendVector(c)
-	}
+	p.batches = append(p.batches, b.Share())
 }
 
 // Commit publishes the assembled entry under the given span and releases
@@ -292,14 +285,18 @@ func (p *Pending) Commit(span Span) {
 	if m.cfg.Granularity == FileGranular {
 		span = FullSpan()
 	}
+	var b *vector.Batch
+	if len(p.batches) > 0 {
+		b = vector.Concat(p.batches)
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if p.aborted {
 		return
 	}
 	delete(m.pending, p.uri)
-	if p.batch != nil {
-		m.putLocked(p.uri, p.batch, span)
+	if b != nil {
+		m.putLocked(p.uri, b, span)
 	}
 }
 
@@ -314,7 +311,7 @@ func (p *Pending) Abort() {
 		p.aborted = true
 		delete(p.m.pending, p.uri)
 	}
-	p.batch = nil
+	p.batches = nil
 }
 
 // Drop removes one entry (e.g. when the underlying file changed). A

@@ -181,21 +181,18 @@ type FormatAdapter interface {
 // materializing Mount behaviour, shared by adapter implementations so
 // the two entry points cannot diverge.
 func CollectMount(a FormatAdapter, path, uri string, keep func(RecordMeta) bool) (*vector.Batch, error) {
-	var out *vector.Batch
+	var batches []*vector.Batch
 	err := a.MountStream(path, uri, keep, int(^uint(0)>>1), func(b *vector.Batch) error {
-		if out == nil {
-			out = b
-			return nil
-		}
-		for i, c := range b.Cols {
-			out.Cols[i].AppendVector(c)
-		}
+		batches = append(batches, b)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	if out == nil {
+	var out *vector.Batch
+	if len(batches) > 0 {
+		out = vector.Concat(batches)
+	} else {
 		// No record survived: an empty batch with the data-table schema.
 		_, _, data := a.Tables()
 		cols := make([]*vector.Vector, len(data.Columns))

@@ -248,3 +248,27 @@ func TestSpillCancellationMidFlight(t *testing.T) {
 }
 
 var _ = vector.KindInt64 // keep the import if assertions change shape
+
+// TestSpillFailureCountedAndHarmless: with the spill directory gone
+// before a query whose flight crosses the threshold, the flight keeps its
+// replay buffer in memory, the answer is unchanged, and the failure is
+// counted once — the degradation is no longer silent.
+func TestSpillFailureCountedAndHarmless(t *testing.T) {
+	m := testRepo(t)
+	plain := openEngine(t, m.Dir, Options{Mode: ModeALi})
+	dir := t.TempDir()
+	spill := openEngine(t, m.Dir, spillOpts(dir, 1))
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	want := queryAllValues(t, plain, query1, true)
+	got := queryAllValues(t, spill, query1, true)
+	assertSameValues(t, "query1", want, got)
+	st := spill.MountService().Stats()
+	if st.SpillFailures != 1 || st.SpilledFlights != 0 {
+		t.Fatalf("SpillFailures = %d, SpilledFlights = %d; want 1 and 0", st.SpillFailures, st.SpilledFlights)
+	}
+	if st.InFlightBytes != 0 || st.ReplayBytes != 0 {
+		t.Fatalf("gauges not drained: %+v", st)
+	}
+}

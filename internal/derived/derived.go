@@ -60,20 +60,22 @@ func (s *Store) Observe(uri string, b *vector.Batch, ridCol, spanCol, valCol int
 	if n == 0 {
 		return
 	}
-	rids := b.Cols[ridCol].Int64s()
+	// Get reads a mounted record's Const record_id without expanding it.
+	rids := b.Cols[ridCol]
 	spans := b.Cols[spanCol].Int64s()
 	vals := b.Cols[valCol].Float64s()
 
 	acc := make(map[int64]*RecordSummary)
 	for i := 0; i < n; i++ {
-		rs, ok := acc[rids[i]]
+		id := rids.Get(i).I
+		rs, ok := acc[id]
 		if !ok {
 			rs = &RecordSummary{
-				URI: uri, RecordID: rids[i],
+				URI: uri, RecordID: id,
 				Min: math.Inf(1), Max: math.Inf(-1),
 				SpanLo: math.MaxInt64, SpanHi: math.MinInt64,
 			}
-			acc[rids[i]] = rs
+			acc[id] = rs
 		}
 		rs.Count++
 		rs.Sum += vals[i]

@@ -64,21 +64,16 @@ func (m *Materialized) Freeze() {
 	}
 }
 
-// Flatten concatenates all batches into one. With a single batch it
-// returns that batch's handle itself (callers that need a second owner
-// take a Share).
+// Flatten concatenates all batches into one (vector.Concat). With a
+// single batch it returns that batch's handle itself (callers that need
+// a second owner take a Share).
 func (m *Materialized) Flatten() *vector.Batch {
-	if len(m.Batches) == 1 {
-		return m.Batches[0]
+	if len(m.Batches) > 0 {
+		return vector.Concat(m.Batches)
 	}
 	cols := make([]*vector.Vector, len(m.Schema))
 	for i, ci := range m.Schema {
-		cols[i] = vector.New(ci.Kind, m.Rows())
-	}
-	for _, b := range m.Batches {
-		for i, c := range b.Cols {
-			cols[i].AppendVector(c)
-		}
+		cols[i] = vector.New(ci.Kind, 0)
 	}
 	return vector.NewBatch(cols...)
 }

@@ -141,7 +141,7 @@ func (j *hashJoin) build() error {
 	if j.rightAll, err = drain(j.right); err != nil {
 		return err
 	}
-	rrows, lrows := j.table.probe(j.rightAll, j.rightKeys)
+	rrows, lrows, _ := j.table.probe(j.rightAll, j.rightKeys)
 	j.lsel, j.rsel = leftMajor(lrows, rrows, j.buildAll.Len())
 	return nil
 }
@@ -175,10 +175,16 @@ func (j *hashJoin) Next() (*vector.Batch, error) {
 			continue
 		}
 		var lsel, rsel []int
+		one := -1
 		if j.table == nil {
 			lsel, rsel = crossSel(lb.Len(), j.buildAll.Len())
 		} else {
-			lsel, rsel = j.table.probe(lb, j.leftKeys)
+			lsel, rsel, one = j.table.probe(lb, j.leftKeys)
+		}
+		if one >= 0 {
+			// Const keys matching one build row: the probe batch passes
+			// through and that row's emitted columns come out Const.
+			return concatBatches(pick(lb, j.lEmit), constRow(pick(j.buildAll, j.rEmit), one, lb.Len())), nil
 		}
 		if len(lsel) > 0 {
 			return j.emitRows(lb, lsel, true, j.buildAll, rsel), nil
@@ -212,6 +218,15 @@ func pick(b *vector.Batch, cols []int) *vector.Batch {
 	out := &vector.Batch{Cols: make([]*vector.Vector, len(cols))}
 	for i, c := range cols {
 		out.Cols[i] = b.Cols[c]
+	}
+	return out
+}
+
+// constRow is row r of b repeated n times, as Const columns.
+func constRow(b *vector.Batch, r, n int) *vector.Batch {
+	out := &vector.Batch{Cols: make([]*vector.Vector, len(b.Cols))}
+	for i, c := range b.Cols {
+		out.Cols[i] = vector.Const(c.Get(r), n)
 	}
 	return out
 }

@@ -26,6 +26,7 @@ type keyTable struct {
 	// by the gather that follows each probe).
 	hbuf         []uint64
 	prows, brows []int
+	match        []int
 }
 
 // newKeyTable indexes the build batch on the given key columns; probeKinds
@@ -37,8 +38,8 @@ func newKeyTable(b *vector.Batch, keys []int, probeKinds []vector.Kind) *keyTabl
 	for i, k := range keys {
 		t.asFloat[i] = b.Cols[k].Kind() == vector.KindFloat64 || probeKinds[i] == vector.KindFloat64
 	}
-	hashes := hashKeys(b, keys, t.asFloat, nil)
-	nan := nanRows(b, keys)
+	hashes := hashKeys(b, keys, t.asFloat, nil, n)
+	nan := nanRows(b, keys, n)
 	// Inserting in reverse makes every chain ascend from its head.
 	for i := n - 1; i >= 0; i-- {
 		if nan != nil && nan[i] {
@@ -58,15 +59,23 @@ func newKeyTable(b *vector.Batch, keys []int, probeKinds []vector.Kind) *keyTabl
 // probe matches every row of b (keyed by the given columns) against the
 // table, returning the pairs (probe row, build row) in probe-row order
 // and, within a probe row, in build-row order. The returned slices are
-// valid until the next probe.
-func (t *keyTable) probe(b *vector.Batch, keys []int) (prows, brows []int) {
-	n := b.Len()
-	t.hbuf = hashKeys(b, keys, t.asFloat, t.hbuf)
-	nan := nanRows(b, keys)
+// valid until the next probe. A batch whose every key is Const (a
+// mounted record) is probed as its first row, one hash and one chain,
+// and the matches stand for every row; one is then the build row every
+// probe row pairs with if exactly one matches, else -1.
+func (t *keyTable) probe(b *vector.Batch, keys []int) (prows, brows []int, one int) {
+	n, rows := b.Len(), min(b.Len(), 1)
+	for _, k := range keys {
+		if _, ok := b.Cols[k].ConstValue(); !ok {
+			rows = n
+		}
+	}
 	if cap(t.prows) < n {
 		t.prows, t.brows = make([]int, 0, n), make([]int, 0, n)
 	}
 	prows, brows = t.prows[:0], t.brows[:0]
+	t.hbuf = hashKeys(b, keys, t.asFloat, t.hbuf, rows)
+	nan := nanRows(b, keys, rows)
 	head, lastH, looked := int32(-1), uint64(0), false
 	for i, h := range t.hbuf {
 		if nan != nil && nan[i] {
@@ -99,17 +108,30 @@ func (t *keyTable) probe(b *vector.Batch, keys []int) (prows, brows []int) {
 	for k, pk := range keys {
 		prows, brows = keepEqual(b.Cols[pk], t.build.Cols[t.keys[k]], t.asFloat[k], prows, brows)
 	}
+	one = -1
+	if rows < n {
+		if len(brows) == 1 {
+			one = brows[0]
+		}
+		t.match = append(t.match[:0], brows...)
+		prows, brows = prows[:0], brows[:0]
+		for i := range n {
+			for _, r := range t.match {
+				prows, brows = append(prows, i), append(brows, r)
+			}
+		}
+	}
 	t.prows, t.brows = prows, brows
-	return prows, brows
+	return prows, brows, one
 }
 
-// hashKeys hashes the key columns of b row-wise into buf (reused when
-// large enough); asFloat[i] hashes key i by float value.
-func hashKeys(b *vector.Batch, keys []int, asFloat []bool, buf []uint64) []uint64 {
-	if cap(buf) < b.Len() {
-		buf = make([]uint64, b.Len())
+// hashKeys hashes the key columns of b's first n rows into buf (reused
+// when large enough); asFloat[i] hashes key i by float value.
+func hashKeys(b *vector.Batch, keys []int, asFloat []bool, buf []uint64, n int) []uint64 {
+	if cap(buf) < n {
+		buf = make([]uint64, n)
 	}
-	buf = buf[:b.Len()]
+	buf = buf[:n]
 	clear(buf)
 	for i, k := range keys {
 		if asFloat[i] {
@@ -121,18 +143,24 @@ func hashKeys(b *vector.Batch, keys []int, asFloat []bool, buf []uint64) []uint6
 	return buf
 }
 
-// nanRows marks the rows holding a NaN in any DOUBLE key column, or
-// returns nil when there are none.
-func nanRows(b *vector.Batch, keys []int) []bool {
+// nanRows marks which of b's first n rows hold a NaN in any DOUBLE key
+// column, or returns nil when none do.
+func nanRows(b *vector.Batch, keys []int, n int) []bool {
 	var out []bool
 	for _, k := range keys {
 		if b.Cols[k].Kind() != vector.KindFloat64 {
 			continue
 		}
+		if v, ok := b.Cols[k].ConstValue(); ok {
+			if v.F != v.F {
+				return slices.Repeat([]bool{true}, n)
+			}
+			continue
+		}
 		for i, f := range b.Cols[k].Float64s() {
 			if f != f {
 				if out == nil {
-					out = make([]bool, b.Len())
+					out = make([]bool, n)
 				}
 				out[i] = true
 			}
@@ -144,8 +172,20 @@ func nanRows(b *vector.Batch, keys []int) []bool {
 // keepEqual keeps the pairs whose probe key p[prows[i]] equals the build
 // key b[brows[i]], compacting both lists in place, in order.
 func keepEqual(p, b *vector.Vector, asFloat bool, prows, brows []int) ([]int, []int) {
+	pv, pc := p.ConstValue()
+	bv, bc := b.ConstValue()
 	pf, bf := p.Kind() == vector.KindFloat64, b.Kind() == vector.KindFloat64
 	switch {
+	case pc && bc:
+		if vector.Compare(pv, bv) == 0 {
+			return prows, brows
+		}
+		return prows[:0], brows[:0]
+	case pc:
+		brows, prows = keepEqualTo(pv, b, asFloat, brows, prows)
+		return prows, brows
+	case bc:
+		return keepEqualTo(bv, p, asFloat, prows, brows)
 	case asFloat && pf && bf:
 		return keepNumEqual(p.Float64s(), b.Float64s(), prows, brows)
 	case asFloat && pf:
@@ -159,6 +199,46 @@ func keepEqual(p, b *vector.Vector, asFloat bool, prows, brows []int) ([]int, []
 	default:
 		return keepSame(p.Int64s(), b.Int64s(), prows, brows)
 	}
+}
+
+// keepEqualTo is keepEqual against a Const key x: it keeps the pairs
+// whose v[rows[i]] equals x, compacting rows and other in place, in order.
+func keepEqualTo(x vector.Value, v *vector.Vector, asFloat bool, rows, other []int) ([]int, []int) {
+	switch {
+	case asFloat && v.Kind() == vector.KindFloat64:
+		return keepNumIs(x.AsFloat(), v.Float64s(), rows, other)
+	case asFloat:
+		return keepNumIs(x.AsFloat(), v.Int64s(), rows, other)
+	case x.Kind == vector.KindString:
+		return keepIs(x.S, v.Strings(), rows, other)
+	case x.Kind == vector.KindBool:
+		return keepIs(x.B, v.Bools(), rows, other)
+	default:
+		return keepIs(x.I, v.Int64s(), rows, other)
+	}
+}
+
+func keepIs[T comparable](x T, s []T, rows, other []int) ([]int, []int) {
+	n := 0
+	for k, i := range rows {
+		if s[i] == x {
+			rows[n], other[n] = i, other[k]
+			n++
+		}
+	}
+	return rows[:n], other[:n]
+}
+
+// keepNumIs compares as float64, where NaN equals everything.
+func keepNumIs[T int64 | float64](x float64, s []T, rows, other []int) ([]int, []int) {
+	n := 0
+	for k, i := range rows {
+		if y := float64(s[i]); x == y || x != x || y != y {
+			rows[n], other[n] = i, other[k]
+			n++
+		}
+	}
+	return rows[:n], other[:n]
 }
 
 func keepSame[T comparable](p, b []T, prows, brows []int) ([]int, []int) {

@@ -35,8 +35,10 @@ func keyPool(rng *rand.Rand, k vector.Kind, n int) *vector.Vector {
 }
 
 // keyedSide is a materialized join input: key columns of the given kinds
-// followed by a row-id payload column, split into batches.
-func keyedSide(rng *rand.Rand, table string, kinds []vector.Kind, n int) *Materialized {
+// followed by a row-id payload column, split into batches. With konst
+// each batch holds each key as a Const column two times in three: all
+// keys Const, as in a mounted record, or a mix of Const and ordinary.
+func keyedSide(rng *rand.Rand, table string, kinds []vector.Kind, n int, konst bool) *Materialized {
 	m := &Materialized{}
 	for i, k := range kinds {
 		m.Schema = append(m.Schema, plan.ColInfo{Table: table, Name: fmt.Sprintf("k%d", i), Kind: k})
@@ -46,7 +48,11 @@ func keyedSide(rng *rand.Rand, table string, kinds []vector.Kind, n int) *Materi
 		hi := min(n, lo+1+rng.Intn(7))
 		cols := make([]*vector.Vector, 0, len(kinds)+1)
 		for _, k := range kinds {
-			cols = append(cols, keyPool(rng, k, hi-lo))
+			if konst && rng.Intn(3) > 0 {
+				cols = append(cols, vector.Const(keyPool(rng, k, 1).Get(0), hi-lo))
+			} else {
+				cols = append(cols, keyPool(rng, k, hi-lo))
+			}
 		}
 		ids := make([]int64, 0, hi-lo)
 		for id := lo; id < hi; id++ {
@@ -82,6 +88,9 @@ func nestedLoopJoin(l, r *Materialized, nkeys int) [][2]int64 {
 // test: over random inputs of every key kind and kind pairing, the hash
 // join — building on either side, emitting all columns or only the two
 // row ids — returns exactly the nested-loop reference's pairs, in order.
+// Every third trial gives the left side Const keys per batch, and every
+// fifth the right side: the key pools repeat values, so Const probes meet
+// NaN keys, no match, one match and several matching build rows.
 func TestHashJoinKernelsMatchNestedLoop(t *testing.T) {
 	I, T, F, S, B := vector.KindInt64, vector.KindTime, vector.KindFloat64, vector.KindString, vector.KindBool
 	pairings := [][2][]vector.Kind{
@@ -91,8 +100,8 @@ func TestHashJoinKernelsMatchNestedLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
 		p := pairings[trial%len(pairings)]
-		l := keyedSide(rng, "L", p[0], rng.Intn(40))
-		r := keyedSide(rng, "R", p[1], rng.Intn(40))
+		l := keyedSide(rng, "L", p[0], rng.Intn(40), trial%3 == 2)
+		r := keyedSide(rng, "R", p[1], rng.Intn(40), trial%5 == 4)
 		want := nestedLoopJoin(l, r, len(p[0]))
 		var lk, rk []string
 		for k := range p[0] {

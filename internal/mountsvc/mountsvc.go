@@ -188,6 +188,9 @@ type Stats struct {
 	SpilledFlights   int64
 	SpilledBytes     int64
 	SpillReplayReads int64
+	// SpillFailures counts flights that fell back to holding their replay
+	// buffer in memory because creating or writing the spill file failed.
+	SpillFailures int64
 	// AdmissionBytesSaved totals the budget bytes honest (estimate-
 	// sized) admissions left free versus whole-file admission.
 	AdmissionBytesSaved int64
@@ -225,6 +228,7 @@ type Service struct {
 	spilledFlights int64
 	spilledBytes   int64
 	spillReads     int64
+	spillFailures  int64
 
 	// single-flight table
 	fmu            sync.Mutex
@@ -272,7 +276,7 @@ func (s *Service) Stats() Stats {
 	s.rmu.Lock()
 	st.ReplayBytes, st.PeakReplayBytes = s.replay, s.replayPeak
 	st.SpilledFlights, st.SpilledBytes = s.spilledFlights, s.spilledBytes
-	st.SpillReplayReads = s.spillReads
+	st.SpillReplayReads, st.SpillFailures = s.spillReads, s.spillFailures
 	s.rmu.Unlock()
 	return st
 }
@@ -558,6 +562,13 @@ func (s *Service) noteSpill(first bool, n int64) {
 	s.rmu.Unlock()
 }
 
+// noteSpillFailure counts a flight that stopped spilling for good.
+func (s *Service) noteSpillFailure() {
+	s.rmu.Lock()
+	s.spillFailures++
+	s.rmu.Unlock()
+}
+
 // noteSpillRead counts one batch replayed from a spill file.
 func (s *Service) noteSpillRead() {
 	s.rmu.Lock()
@@ -763,6 +774,7 @@ func (f *flight) maybeSpill() {
 			f.mu.Lock()
 			f.spillFailed = true
 			f.mu.Unlock()
+			svc.noteSpillFailure()
 			return
 		}
 		kinds := make([]vector.Kind, toFlush[0].NumCols())
@@ -787,6 +799,7 @@ func (f *flight) maybeSpill() {
 			f.batches = f.batches[i:]
 			f.buffered -= flushed
 			f.mu.Unlock()
+			svc.noteSpillFailure()
 			svc.noteSpill(first && i > 0, flushed)
 			return
 		}

@@ -1049,7 +1049,9 @@ func TestSpillReplayIdenticalToMemory(t *testing.T) {
 	bb := spillBatchBytes(t, batchLen)
 	spillDir := t.TempDir()
 	dir := testFiles(t, map[string]int{"a.slow": 2048})
-	ad := &slowAdapter{nBatches: nBatches, batchLen: batchLen}
+	// The gate holds the extraction until both cursors are attached: a
+	// flight that finished before the second Mount could not be joined.
+	ad := &slowAdapter{nBatches: nBatches, batchLen: batchLen, gate: make(chan struct{})}
 	svc := New(Config{RepoDir: dir, SpillDir: spillDir, SpillThresholdBytes: bb})
 
 	collect := func(cur Cursor) []float64 {
@@ -1073,6 +1075,7 @@ func TestSpillReplayIdenticalToMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	close(ad.gate)
 	got1 := collect(c1) // mostly rides the live stream
 	got2 := collect(c2) // replays after everything spilled
 	if len(got1) != nBatches*batchLen || len(got2) != len(got1) {

@@ -14,7 +14,7 @@ import (
 func TestSteimRoundTripSimple(t *testing.T) {
 	samples := []int32{100, 101, 99, 150, -20000, -20001, 1 << 20, 0}
 	frames := EncodeSteim(samples)
-	got, err := DecodeSteim(frames, len(samples))
+	got, err := DecodeSteim(nil, frames, len(samples))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestSteimSingleSample(t *testing.T) {
 	if len(frames) != FrameSize {
 		t.Fatalf("single sample encoded to %d bytes, want one frame", len(frames))
 	}
-	got, err := DecodeSteim(frames, 1)
+	got, err := DecodeSteim(nil, frames, 1)
 	if err != nil || len(got) != 1 || got[0] != 42 {
 		t.Fatalf("decode = %v, %v", got, err)
 	}
@@ -43,11 +43,11 @@ func TestSteimEmpty(t *testing.T) {
 	if frames := EncodeSteim(nil); frames != nil {
 		t.Error("empty input produced frames")
 	}
-	got, err := DecodeSteim(nil, 0)
+	got, err := DecodeSteim(nil, nil, 0)
 	if err != nil || got != nil {
 		t.Error("empty decode failed")
 	}
-	if _, err := DecodeSteim(nil, 5); err == nil {
+	if _, err := DecodeSteim(nil, nil, 5); err == nil {
 		t.Error("decode of nothing into 5 samples must fail")
 	}
 }
@@ -55,7 +55,7 @@ func TestSteimEmpty(t *testing.T) {
 func TestSteimRoundTripProperty(t *testing.T) {
 	f := func(raw []int32) bool {
 		frames := EncodeSteim(raw)
-		got, err := DecodeSteim(frames, len(raw))
+		got, err := DecodeSteim(nil, frames, len(raw))
 		if err != nil {
 			return false
 		}
@@ -77,7 +77,7 @@ func TestSteimRoundTripProperty(t *testing.T) {
 func TestSteimExtremeDeltas(t *testing.T) {
 	samples := []int32{0, math.MaxInt32, math.MinInt32, -1, 1, math.MinInt32 + 5}
 	frames := EncodeSteim(samples)
-	got, err := DecodeSteim(frames, len(samples))
+	got, err := DecodeSteim(nil, frames, len(samples))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestSteimCompressesSmoothData(t *testing.T) {
 		t.Errorf("compressed %d bytes of %d raw: expected at least 2x compression on smooth data",
 			len(frames), raw)
 	}
-	got, err := DecodeSteim(frames, len(samples))
+	got, err := DecodeSteim(nil, frames, len(samples))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,10 +112,10 @@ func TestSteimDetectsCorruption(t *testing.T) {
 	samples := []int32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	frames := EncodeSteim(samples)
 	frames[20] ^= 0xFF // corrupt a data word
-	if _, err := DecodeSteim(frames, len(samples)); err == nil {
+	if _, err := DecodeSteim(nil, frames, len(samples)); err == nil {
 		t.Error("corrupted frames decoded without error")
 	}
-	if _, err := DecodeSteim(frames[:10], len(samples)); err == nil {
+	if _, err := DecodeSteim(nil, frames[:10], len(samples)); err == nil {
 		t.Error("truncated, misaligned frames accepted")
 	}
 }

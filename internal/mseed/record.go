@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"time"
 )
 
@@ -133,8 +134,9 @@ func WriteRecord(w io.Writer, h Header, samples []int32) (int, error) {
 
 // Reader iterates the records of one file.
 type Reader struct {
-	br  *bufio.Reader
-	err error
+	br     *bufio.Reader
+	err    error
+	frames []byte // payload buffer, reused from record to record
 }
 
 // NewReader wraps r for record iteration.
@@ -166,14 +168,18 @@ func (r *Reader) NextHeader() (Header, error) {
 }
 
 // ReadPayload decodes the samples of the record whose header was just
-// returned by NextHeader.
-func (r *Reader) ReadPayload(h Header) ([]int32, error) {
-	frames := make([]byte, h.FrameBytes)
+// returned by NextHeader into dst's storage, reused when its capacity
+// suffices (nil: a fresh slice the caller owns). A caller that copies
+// the samples out before the next record passes the previous result
+// back and decodes a whole file without a per-record allocation.
+func (r *Reader) ReadPayload(h Header, dst []int32) ([]int32, error) {
+	r.frames = slices.Grow(r.frames[:0], h.FrameBytes)[:h.FrameBytes]
+	frames := r.frames
 	if _, err := io.ReadFull(r.br, frames); err != nil {
 		r.err = fmt.Errorf("mseed: read payload of record %d: %w", h.Seq, err)
 		return nil, r.err
 	}
-	return DecodeSteim(frames, h.NSamples)
+	return DecodeSteim(dst, frames, h.NSamples)
 }
 
 // SkipPayload discards the payload of the record whose header was just
@@ -230,7 +236,7 @@ func ReadFile(path string) ([]Record, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}
-		samples, err := r.ReadPayload(h)
+		samples, err := r.ReadPayload(h, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}
@@ -263,7 +269,7 @@ func ReadFileFiltered(path string, keep func(Header) bool) ([]Record, error) {
 			}
 			continue
 		}
-		samples, err := r.ReadPayload(h)
+		samples, err := r.ReadPayload(h, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}

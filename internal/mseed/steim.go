@@ -15,6 +15,7 @@ package mseed
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // FrameSize is the size of one compression frame in bytes.
@@ -113,9 +114,11 @@ func EncodeSteim(samples []int32) []byte {
 // DecodeSteim decompresses frames into exactly nsamples samples. It
 // verifies the reverse integration constant and fails loudly on
 // corruption — a mount must never silently produce wrong data.
-func DecodeSteim(frames []byte, nsamples int) ([]int32, error) {
+// The samples go into dst's storage when its capacity suffices (nil
+// allocates).
+func DecodeSteim(dst []int32, frames []byte, nsamples int) ([]int32, error) {
 	if nsamples == 0 {
-		return nil, nil
+		return dst[:0], nil
 	}
 	if len(frames)%FrameSize != 0 {
 		return nil, fmt.Errorf("mseed: frame data length %d not a multiple of %d", len(frames), FrameSize)
@@ -126,8 +129,7 @@ func DecodeSteim(frames []byte, nsamples int) ([]int32, error) {
 	x0 := int32(binary.BigEndian.Uint32(frames[4:8]))
 	xn := int32(binary.BigEndian.Uint32(frames[8:12]))
 
-	out := make([]int32, 0, nsamples)
-	out = append(out, x0)
+	out := append(slices.Grow(dst[:0], nsamples), x0)
 	cur := x0
 	need := nsamples - 1
 

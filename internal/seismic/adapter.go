@@ -155,39 +155,23 @@ func (a *Adapter) Mount(path, uri string, keep func(catalog.RecordMeta) bool) (*
 }
 
 // MountStream implements catalog.FormatAdapter: records are decoded one
-// at a time off the mseed reader and yielded in record-aligned batches,
-// so consumers see data while the file is still being decompressed.
-func (a *Adapter) MountStream(path, uri string, keep func(catalog.RecordMeta) bool, batchRows int, emit func(*vector.Batch) error) error {
-	if batchRows <= 0 {
-		batchRows = vector.DefaultBatchSize
-	}
+// at a time off the mseed reader and each is yielded as its own batch,
+// so consumers see data while the file is still being decompressed. A
+// record's uri and record_id are Const columns, O(1) however many
+// samples it holds; sample_time and sample_value are written out. Every
+// batch is one record, so batchRows never splits or merges anything.
+func (a *Adapter) MountStream(path, uri string, keep func(catalog.RecordMeta) bool, _ int, emit func(*vector.Batch) error) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("seismic: mount %s: %w", uri, err)
 	}
 	defer f.Close()
 	r := mseed.NewReader(f)
-
-	var uris []string
-	var ids, times []int64
-	var vals []float64
-	flush := func() error {
-		if len(uris) == 0 {
-			return nil
-		}
-		b := vector.NewBatch(
-			vector.FromString(uris),
-			vector.FromInt64(ids),
-			vector.FromTime(times),
-			vector.FromFloat64(vals),
-		)
-		uris, ids, times, vals = nil, nil, nil, nil
-		return emit(b)
-	}
+	var samples []int32 // decode buffer, dead once copied into a batch
 	for {
 		h, err := r.NextHeader()
 		if err == io.EOF {
-			break
+			return nil
 		}
 		if err != nil {
 			return fmt.Errorf("seismic: mount %s: %w", uri, err)
@@ -198,33 +182,30 @@ func (a *Adapter) MountStream(path, uri string, keep func(catalog.RecordMeta) bo
 			}
 			continue
 		}
-		samples, err := r.ReadPayload(h)
-		if err != nil {
+		if samples, err = r.ReadPayload(h, samples); err != nil {
 			return fmt.Errorf("seismic: mount %s: %w", uri, err)
 		}
-		// Record alignment: flush before a record that would overflow the
-		// batch; a record bigger than batchRows goes out alone.
-		if len(uris) > 0 && len(uris)+len(samples) > batchRows {
-			if err := flush(); err != nil {
-				return err
-			}
+		n := len(samples)
+		if n == 0 {
+			continue
 		}
-		if n := len(samples); len(uris) == 0 && 2*n > batchRows {
-			// No second record of this size fits the batch: it is this
-			// record, so size the columns once instead of growing them.
-			uris, ids = make([]string, 0, n), make([]int64, 0, n)
-			times, vals = make([]int64, 0, n), make([]float64, 0, n)
-		}
+		times, vals := make([]int64, n), make([]float64, n)
 		for i, s := range samples {
-			uris = append(uris, uri)
-			ids = append(ids, int64(h.Seq))
 			// Use the header's own timestamp materialization so mounted
 			// sample_time values agree exactly with R.start_time/end_time.
-			times = append(times, h.SampleTime(i))
-			vals = append(vals, float64(s))
+			times[i] = h.SampleTime(i)
+			vals[i] = float64(s)
+		}
+		b := vector.NewBatch(
+			vector.Const(vector.Str(uri), n),
+			vector.Const(vector.Int64(int64(h.Seq)), n),
+			vector.FromTime(times),
+			vector.FromFloat64(vals),
+		)
+		if err := emit(b); err != nil {
+			return err
 		}
 	}
-	return flush()
 }
 
 func recordMetaFromHeader(uri string, h mseed.Header) catalog.RecordMeta {

@@ -177,8 +177,9 @@ func TestValuesMatchTableDefs(t *testing.T) {
 }
 
 // TestMountStreamParity proves the streaming and materializing mount
-// paths produce identical rows, with streamed batches record-aligned
-// and within the requested size.
+// paths produce identical rows, and that every streamed batch is one
+// whole record with uri and record_id as Const columns, whatever the
+// requested batch size.
 func TestMountStreamParity(t *testing.T) {
 	m, _ := genOne(t)
 	a := NewAdapter()
@@ -187,34 +188,39 @@ func TestMountStreamParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const batchRows = 256 // smaller than one record's 400 samples
-	var streamed []*vector.Batch
-	err = a.MountStream(m.Path(uri), uri, nil, batchRows, func(b *vector.Batch) error {
-		streamed = append(streamed, b)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	row := 0
-	for bi, b := range streamed {
-		if b.Len() > 400 { // one oversized record may exceed batchRows, never two
-			t.Errorf("batch %d has %d rows", bi, b.Len())
+	// Smaller than one record's 400 samples, and room for several.
+	for _, batchRows := range []int{256, 4096} {
+		var streamed []*vector.Batch
+		err = a.MountStream(m.Path(uri), uri, nil, batchRows, func(b *vector.Batch) error {
+			streamed = append(streamed, b)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		ids := b.Cols[1].Int64s()
-		if ids[0] != ids[len(ids)-1] && b.Len() > batchRows {
-			t.Errorf("batch %d splits records AND exceeds batchRows", bi)
+		if len(streamed) != 3 {
+			t.Fatalf("batchRows %d: %d batches for 3 records", batchRows, len(streamed))
 		}
-		for i := 0; i < b.Len(); i++ {
-			for c := range b.Cols {
-				if vector.Compare(b.Cols[c].Get(i), whole.Cols[c].Get(row)) != 0 {
-					t.Fatalf("row %d col %d differs between stream and mount", row, c)
-				}
+		row, lastID := 0, int64(-1)
+		for bi, b := range streamed {
+			u, uok := b.Cols[0].ConstValue()
+			id, iok := b.Cols[1].ConstValue()
+			if !uok || !iok || u.S != uri || id.I <= lastID || b.Len() != 400 {
+				t.Fatalf("batchRows %d: batch %d is not one record with Const keys: uri %v/%v id %v/%v, %d rows",
+					batchRows, bi, u, uok, id, iok, b.Len())
 			}
-			row++
+			lastID = id.I
+			for i := 0; i < b.Len(); i++ {
+				for c := range b.Cols {
+					if vector.Compare(b.Cols[c].Get(i), whole.Cols[c].Get(row)) != 0 {
+						t.Fatalf("row %d col %d differs between stream and mount", row, c)
+					}
+				}
+				row++
+			}
 		}
-	}
-	if row != whole.Len() {
-		t.Fatalf("stream yielded %d rows, mount %d", row, whole.Len())
+		if row != whole.Len() {
+			t.Fatalf("stream yielded %d rows, mount %d", row, whole.Len())
+		}
 	}
 }

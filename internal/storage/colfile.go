@@ -54,6 +54,22 @@ func encodeVector(dst []byte, v *vector.Vector) []byte {
 	return dst
 }
 
+// encodeValue appends the binary form of one value of a fixed kind, as
+// encodeVector writes each row.
+func encodeValue(dst []byte, val vector.Value) []byte {
+	switch val.Kind {
+	case vector.KindBool:
+		if val.B {
+			return append(dst, 1)
+		}
+		return append(dst, 0)
+	case vector.KindFloat64:
+		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(val.F))
+	default:
+		return binary.LittleEndian.AppendUint64(dst, uint64(val.I))
+	}
+}
+
 // decodeVector decodes n values of kind k from raw into a fresh vector.
 // For VARCHAR, raw holds codes and dict translates them to strings.
 func decodeVector(k vector.Kind, raw []byte, n int, dict *Dict) *vector.Vector {

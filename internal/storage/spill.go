@@ -7,13 +7,18 @@ package storage
 // follow a writer that is still appending (the mount service's late
 // joiners replay from disk while the extraction runs):
 //
-//	header:  magic "RSPILL1\n" | u32 ncols | ncols × u8 kind
+//	header:  magic "RSPILL2\n" | u32 ncols | ncols × u8 kind
 //	frame:   u8 tag
 //	  batch (tag 1): u32 payloadLen | u32 nNewDict | nNewDict ×
 //	                 (u32 len | bytes) | u32 rows | per column
-//	                 rows × diskWidth(kind) bytes
+//	                 u8 form | data
+//	    form 0: rows × diskWidth(kind) bytes
+//	    form 1: one diskWidth(kind) value standing for every row
+//	            (a Const vector)
 //	  end   (tag 2): u32 totalBatches
 //
+// A file of an older format fails the magic check and reads as
+// ErrCorruptSpill, which every reader already treats as "gone".
 // VARCHAR values are dictionary codes against a per-file dictionary
 // built incrementally: each batch frame carries the strings first seen
 // in that batch, in code order, so a sequential reader reconstructs the
@@ -32,7 +37,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"slices"
 
 	"repro/internal/vector"
 )
@@ -42,11 +49,14 @@ import (
 // treat it as "the spilled data is gone", never as fatal.
 var ErrCorruptSpill = errors.New("storage: corrupt spill file")
 
-var spillMagic = [8]byte{'R', 'S', 'P', 'I', 'L', 'L', '1', '\n'}
+var spillMagic = [8]byte{'R', 'S', 'P', 'I', 'L', 'L', '2', '\n'}
 
 const (
 	spillFrameBatch = 1
 	spillFrameEnd   = 2
+
+	spillColRows  = 0
+	spillColConst = 1
 )
 
 // SpillFile is an owned temporary file handle with an explicit end of
@@ -150,6 +160,19 @@ func (w *BatchWriter) flush(frame []byte) error {
 	return nil
 }
 
+// start writes the header before the first frame.
+func (w *BatchWriter) start() error {
+	if w.started {
+		return nil
+	}
+	w.started = true
+	hdr := appendUint32(append([]byte{}, spillMagic[:]...), uint32(len(w.kinds)))
+	for _, k := range w.kinds {
+		hdr = append(hdr, byte(k))
+	}
+	return w.flush(hdr)
+}
+
 // Append writes one batch as a frame. The batch's column kinds must
 // match the writer's schema. Empty batches are valid frames.
 func (w *BatchWriter) Append(b *vector.Batch) error {
@@ -159,80 +182,78 @@ func (w *BatchWriter) Append(b *vector.Batch) error {
 	if b.NumCols() != len(w.kinds) {
 		return fmt.Errorf("storage: spill batch has %d columns, schema has %d", b.NumCols(), len(w.kinds))
 	}
-	if !w.started {
-		w.started = true
-		hdr := append([]byte{}, spillMagic[:]...)
-		hdr = appendUint32(hdr, uint32(len(w.kinds)))
-		for _, k := range w.kinds {
-			hdr = append(hdr, byte(k))
-		}
-		if err := w.flush(hdr); err != nil {
-			return err
-		}
+	if err := w.start(); err != nil {
+		return err
 	}
 
 	// Collect the strings this batch introduces, in code order.
 	var newDict []string
+	intern := func(s string) {
+		if _, ok := w.dictIdx[s]; !ok {
+			w.dictIdx[s] = w.dictLen
+			w.dictLen++
+			newDict = append(newDict, s)
+		}
+	}
 	rows := b.Len()
 	for i, col := range b.Cols {
 		k := col.Kind()
 		if k != w.kinds[i] {
 			return fmt.Errorf("storage: spill batch column %d is %s, schema says %s", i, k, w.kinds[i])
 		}
-		if k == vector.KindString {
-			for _, s := range col.Strings() {
-				if _, ok := w.dictIdx[s]; !ok {
-					w.dictIdx[s] = w.dictLen
-					w.dictLen++
-					newDict = append(newDict, s)
-				}
-			}
+		if k != vector.KindString {
+			continue
+		}
+		if val, ok := col.ConstValue(); ok {
+			intern(val.S)
+			continue
+		}
+		for _, s := range col.Strings() {
+			intern(s)
 		}
 	}
-	payload := w.scratch[:0]
-	payload = appendUint32(payload, uint32(len(newDict)))
+	// The frame is built once in the reused scratch buffer, its 5-byte
+	// header reserved up front and filled in when the length is known.
+	frame := append(w.scratch[:0], spillFrameBatch, 0, 0, 0, 0)
+	frame = appendUint32(frame, uint32(len(newDict)))
 	for _, s := range newDict {
-		payload = appendUint32(payload, uint32(len(s)))
-		payload = append(payload, s...)
+		frame = appendUint32(frame, uint32(len(s)))
+		frame = append(frame, s...)
 	}
-	payload = appendUint32(payload, uint32(rows))
-	var codeBuf [8]byte
+	frame = appendUint32(frame, uint32(rows))
 	for _, col := range b.Cols {
-		if col.Kind() == vector.KindString {
-			for _, s := range col.Strings() {
-				binary.LittleEndian.PutUint64(codeBuf[:], uint64(w.dictIdx[s]))
-				payload = append(payload, codeBuf[:]...)
+		if val, ok := col.ConstValue(); ok {
+			frame = append(frame, spillColConst)
+			if val.Kind == vector.KindString {
+				frame = binary.LittleEndian.AppendUint64(frame, uint64(w.dictIdx[val.S]))
+			} else {
+				frame = encodeValue(frame, val)
 			}
 			continue
 		}
-		payload = encodeVector(payload, col)
+		frame = append(frame, spillColRows)
+		if col.Kind() == vector.KindString {
+			for _, s := range col.Strings() {
+				frame = binary.LittleEndian.AppendUint64(frame, uint64(w.dictIdx[s]))
+			}
+			continue
+		}
+		frame = encodeVector(frame, col)
 	}
-
-	frame := make([]byte, 0, 5+len(payload))
-	frame = append(frame, spillFrameBatch)
-	frame = appendUint32(frame, uint32(len(payload)))
-	frame = append(frame, payload...)
+	binary.LittleEndian.PutUint32(frame[1:5], uint32(len(frame)-5))
+	w.scratch = frame[:0]
 	if err := w.flush(frame); err != nil {
 		return err
 	}
 	w.batches++
-	w.scratch = payload[:0]
 	return nil
 }
 
 // Finish writes the end frame. A file without one is either still being
 // written or truncated; readers only treat end-framed files as complete.
 func (w *BatchWriter) Finish() error {
-	if !w.started {
-		w.started = true
-		hdr := append([]byte{}, spillMagic[:]...)
-		hdr = appendUint32(hdr, uint32(len(w.kinds)))
-		for _, k := range w.kinds {
-			hdr = append(hdr, byte(k))
-		}
-		if err := w.flush(hdr); err != nil {
-			return err
-		}
+	if err := w.start(); err != nil {
+		return err
 	}
 	frame := []byte{spillFrameEnd}
 	frame = appendUint32(frame, uint32(w.batches))
@@ -272,14 +293,15 @@ func WriteBatches(path string, kinds []vector.Kind, batches []*vector.Batch, mod
 // a writer is still appending, as long as the caller only asks for
 // frames the writer has already written).
 type BatchReader struct {
-	f       *os.File
-	kinds   []vector.Kind
-	dict    []string
-	model   DiskModel
-	clock   *Clock
-	read    int // batch frames decoded
-	first   bool
-	done    bool
+	f     *os.File
+	kinds []vector.Kind
+	dict  []string
+	model DiskModel
+	clock *Clock
+	read  int // batch frames decoded
+	first bool
+	done  bool
+	buf   []byte // the frame being decoded; the batch copies out of it
 }
 
 // OpenBatchReader opens a spill file and validates its header.
@@ -368,12 +390,12 @@ func (r *BatchReader) Next() (*vector.Batch, error) {
 		r.done = true
 		return nil, nil
 	case spillFrameBatch:
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r.f, payload); err != nil {
+		var err error
+		if r.buf, err = readN(r.f, r.buf[:0], int(n)); err != nil {
 			return nil, fmt.Errorf("%w: torn frame %d", ErrCorruptSpill, r.read)
 		}
 		r.charge(5 + int(n))
-		b, err := r.decodeFrame(payload)
+		b, err := r.decodeFrame(r.buf)
 		if err != nil {
 			return nil, err
 		}
@@ -382,6 +404,21 @@ func (r *BatchReader) Next() (*vector.Batch, error) {
 	default:
 		return nil, fmt.Errorf("%w: unknown frame tag %d", ErrCorruptSpill, tag[0])
 	}
+}
+
+// readN appends n bytes read from f to buf, growing it at most a MiB
+// ahead of what has arrived, so a corrupt length cannot allocate more
+// than the file holds.
+func readN(f io.Reader, buf []byte, n int) ([]byte, error) {
+	for len(buf) < n {
+		lo := len(buf)
+		buf = slices.Grow(buf, min(n-lo, 1<<20))
+		buf = buf[:lo+min(n-lo, 1<<20)]
+		if _, err := io.ReadFull(f, buf[lo:]); err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }
 
 func (r *BatchReader) decodeFrame(p []byte) (*vector.Batch, error) {
@@ -413,28 +450,60 @@ func (r *BatchReader) decodeFrame(p []byte) (*vector.Batch, error) {
 	rows := int(rows32)
 	cols := make([]*vector.Vector, len(r.kinds))
 	for i, k := range r.kinds {
-		need := rows * diskWidth(k)
+		if len(p) < 1 || p[0] > spillColConst {
+			return nil, torn
+		}
+		n := rows
+		if p[0] == spillColConst {
+			n = 1
+		}
+		need := 1 + n*diskWidth(k)
 		if len(p) < need {
 			return nil, torn
 		}
-		raw := p[:need]
+		form, raw := p[0], p[1:need]
 		p = p[need:]
-		if k == vector.KindString {
+		switch {
+		case form == spillColConst:
+			v, err := r.value(k, raw)
+			if err != nil {
+				return nil, err
+			}
+			cols[i] = vector.Const(v, rows)
+		case k == vector.KindString:
 			out := make([]string, rows)
-			for j := 0; j < rows; j++ {
-				code := int64(binary.LittleEndian.Uint64(raw[j*8:]))
-				if code < 0 || code >= int64(len(r.dict)) {
-					return nil, fmt.Errorf("%w: dictionary code %d out of range (%d entries)", ErrCorruptSpill, code, len(r.dict))
+			for j := range out {
+				v, err := r.value(k, raw[j*8:])
+				if err != nil {
+					return nil, err
 				}
-				out[j] = r.dict[code]
+				out[j] = v.S
 			}
 			cols[i] = vector.FromString(out)
-			continue
+		default:
+			cols[i] = decodeVector(k, raw, rows, nil)
 		}
-		cols[i] = decodeVector(k, raw, rows, nil)
 	}
 	if len(p) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes in frame %d", ErrCorruptSpill, len(p), r.read)
 	}
 	return vector.NewBatch(cols...), nil
+}
+
+// value decodes the one value of kind k at the front of raw, resolving a
+// string's dictionary code.
+func (r *BatchReader) value(k vector.Kind, raw []byte) (vector.Value, error) {
+	switch k {
+	case vector.KindBool:
+		return vector.Bool(raw[0] != 0), nil
+	case vector.KindFloat64:
+		return vector.Float64(math.Float64frombits(binary.LittleEndian.Uint64(raw))), nil
+	case vector.KindString:
+		code := int64(binary.LittleEndian.Uint64(raw))
+		if code < 0 || code >= int64(len(r.dict)) {
+			return vector.Value{}, fmt.Errorf("%w: dictionary code %d out of range (%d entries)", ErrCorruptSpill, code, len(r.dict))
+		}
+		return vector.Str(r.dict[code]), nil
+	}
+	return vector.Value{Kind: k, I: int64(binary.LittleEndian.Uint64(raw))}, nil
 }

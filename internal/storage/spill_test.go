@@ -86,6 +86,10 @@ func assertBatchesEqual(t *testing.T, want, got []*vector.Batch) {
 			if w.Cols[ci].Kind() != g.Cols[ci].Kind() {
 				t.Fatalf("batch %d col %d kind %s, want %s", bi, ci, g.Cols[ci].Kind(), w.Cols[ci].Kind())
 			}
+			_, wc := w.Cols[ci].ConstValue()
+			if _, gc := g.Cols[ci].ConstValue(); wc != gc {
+				t.Fatalf("batch %d col %d: Const %v, want %v", bi, ci, gc, wc)
+			}
 			for r := 0; r < w.Len(); r++ {
 				if !sameValue(t, w.Cols[ci], g.Cols[ci], r) {
 					t.Fatalf("batch %d col %d row %d: got %s, want %s",
@@ -119,7 +123,9 @@ func readAll(t *testing.T, path string, model DiskModel, clock *Clock) []*vector
 // TestSpillRoundTripProperty is the satellite-1 property test: random
 // batches over every vector kind — shared and frozen handles, sliced
 // (selection) windows, NaN/±Inf doubles, empty batches, dictionary
-// collisions across batches — survive write→read byte-identically.
+// collisions across batches, Const columns alone or mixed with ordinary
+// ones in one frame — survive write→read byte-identically, and a Const
+// column reads back Const.
 func TestSpillRoundTripProperty(t *testing.T) {
 	kinds := []vector.Kind{
 		vector.KindString, vector.KindInt64, vector.KindTime,
@@ -136,7 +142,11 @@ func TestSpillRoundTripProperty(t *testing.T) {
 			}
 			cols := make([]*vector.Vector, len(kinds))
 			for ci, k := range kinds {
-				cols[ci] = randomVector(rng, k, n)
+				if rng.Intn(3) == 0 {
+					cols[ci] = vector.Const(randomVector(rng, k, 1).Get(0), n)
+				} else {
+					cols[ci] = randomVector(rng, k, n)
+				}
 			}
 			b := vector.NewBatch(cols...)
 			switch rng.Intn(3) {

@@ -77,10 +77,17 @@ func (b *Batch) Clone() *Batch {
 // ingestion cache, a flight's replay buffer, a retained result): each
 // owner holds its own handle, reads are free, and the first mutation
 // through any handle materializes a private copy for that handle only.
+// The new column handles are allocated together, as one object.
 func (b *Batch) Share() *Batch {
+	if forceCloneShares.Load() {
+		return b.Clone()
+	}
 	cols := make([]*Vector, len(b.Cols))
+	handles := make([]Vector, len(b.Cols))
 	for i, c := range b.Cols {
-		cols[i] = c.Share()
+		c.sh.refs.Add(1)
+		handles[i] = *c
+		cols[i] = &handles[i]
 	}
 	return &Batch{Cols: cols}
 }

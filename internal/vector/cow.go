@@ -57,7 +57,8 @@ func (v *Vector) Share() *Vector {
 		return v.Clone()
 	}
 	v.sh.refs.Add(1)
-	return &Vector{kind: v.kind, bs: v.bs, is: v.is, fs: v.fs, ss: v.ss, sh: v.sh}
+	out := *v
+	return &out
 }
 
 // Shared reports whether another handle may still reference v's storage
@@ -75,8 +76,15 @@ func (v *Vector) Freeze() { v.sh.refs.Add(1) }
 // handle could still observe it. Every mutation entry point calls it
 // first. The copy happens before the count is released, so a concurrent
 // mutation through another handle of the group either sees the storage
-// still shared (and copies too) or already has its own.
+// still shared (and copies too) or already has its own. A Const is
+// expanded into fresh storage, leaving its share group.
 func (v *Vector) materialize() {
+	if v.isConst {
+		v.expand()
+		v.sh.refs.Add(-1)
+		v.sh = newShare()
+		return
+	}
 	if v.sh.refs.Load() == 1 {
 		return
 	}
@@ -98,10 +106,15 @@ func (v *Vector) materialize() {
 // Reset truncates v to zero length. Shared storage is detached rather
 // than copied — the old values are being discarded anyway — which lets
 // append buffers be reused in place when they are exclusively owned.
+// A Const's one-value storage is dropped, never reused.
 func (v *Vector) Reset() {
 	if v.sh.refs.Load() > 1 {
 		v.sh.refs.Add(-1)
 		v.sh = newShare()
+		v.bs, v.is, v.fs, v.ss = nil, nil, nil, nil
+	}
+	if v.isConst {
+		v.isConst, v.constLen = false, 0
 		v.bs, v.is, v.fs, v.ss = nil, nil, nil, nil
 	}
 	switch v.kind {
@@ -158,9 +171,13 @@ func (v *Vector) MutableFloat64s() []float64 { v.mustKind(KindFloat64); v.materi
 func (v *Vector) MutableStrings() []string { v.mustKind(KindString); v.materialize(); return v.ss }
 
 // Bytes estimates the resident size of the vector's storage: the unit
-// cache and mount-service accounting is denominated in.
+// cache and mount-service accounting is denominated in; a Const counts
+// one value.
 func (v *Vector) Bytes() int64 {
 	n := int64(v.Len())
+	if v.isConst {
+		n = 1
+	}
 	switch v.kind {
 	case KindBool:
 		return n

@@ -123,7 +123,8 @@ var hashSeed = maphash.MakeSeed()
 // v.Len()), combining with any existing contents of dst so multi-column
 // keys can be hashed by repeated calls. Values that compare equal within
 // one kind hash equal (±0 included), and BIGINT and TIMESTAMP share a
-// hash; the kernels read the typed slices directly, boxing nothing.
+// hash; the kernels read the typed slices directly, boxing nothing. A
+// Const's value is hashed once, and dst may then also have length 1.
 func HashVector(v *Vector, dst []uint64) {
 	hashVector(v, dst, false)
 }
@@ -138,9 +139,22 @@ func HashVectorAsFloat(v *Vector, dst []uint64) {
 }
 
 func hashVector(v *Vector, dst []uint64, asFloat bool) {
-	if len(dst) != v.Len() {
+	if len(dst) != v.Len() && !(v.isConst && len(dst) == 1) {
 		panic("vector: HashVector length mismatch")
 	}
+	if v.isConst {
+		var h [1]uint64
+		hashStored(v, h[:], asFloat)
+		for i := range dst {
+			dst[i] = combine(dst[i], h[0])
+		}
+		return
+	}
+	hashStored(v, dst, asFloat)
+}
+
+// hashStored hashes v's storage, one entry per stored value, into dst.
+func hashStored(v *Vector, dst []uint64, asFloat bool) {
 	switch v.kind {
 	case KindInt64, KindTime:
 		if asFloat {
@@ -157,8 +171,8 @@ func hashVector(v *Vector, dst []uint64, asFloat bool) {
 			dst[i] = combine(dst[i], hashFloat(x))
 		}
 	case KindString:
-		// Consecutive rows often repeat a key (a record's uri on every
-		// sample): reuse the previous hash instead of rehashing the bytes.
+		// Consecutive rows often repeat a key (a file's uri on each of its
+		// records): reuse the previous hash instead of rehashing the bytes.
 		var prev string
 		var ph uint64
 		for i, x := range v.ss {

@@ -76,14 +76,17 @@ func (k Kind) Width() int {
 // handles over the same storage, and mutation entry points materialize a
 // private copy only when the storage is actually shared. The raw slice
 // accessors (Bools, Int64s, ...) are read-only views; in-place writes go
-// through Set, Permute or the Mutable accessors.
+// through Set, Permute or the Mutable accessors. A Const vector (see
+// Const) stores one value standing for constLen rows.
 type Vector struct {
-	kind Kind
-	bs   []bool
-	is   []int64 // also backs KindTime
-	fs   []float64
-	ss   []string
-	sh   *share // copy-on-write share record, never nil
+	kind     Kind
+	isConst  bool
+	constLen uint32
+	bs       []bool
+	is       []int64 // also backs KindTime
+	fs       []float64
+	ss       []string
+	sh       *share // copy-on-write share record, never nil
 }
 
 // New returns an empty vector of the given kind with capacity hint n.
@@ -124,6 +127,9 @@ func (v *Vector) Kind() Kind { return v.kind }
 
 // Len returns the number of values in the vector.
 func (v *Vector) Len() int {
+	if v.isConst {
+		return int(v.constLen)
+	}
 	switch v.kind {
 	case KindBool:
 		return len(v.bs)
@@ -141,7 +147,7 @@ func (v *Vector) Len() int {
 // Bools returns the backing slice of a BOOLEAN vector as a read-only
 // view; writes go through Set or MutableBools so shared storage can be
 // materialized first.
-func (v *Vector) Bools() []bool { v.mustKind(KindBool); return v.bs }
+func (v *Vector) Bools() []bool { v.mustKind(KindBool); return view(v, v.bs) }
 
 // Int64s returns the backing slice of a BIGINT or TIMESTAMP vector
 // (read-only view; see Bools).
@@ -149,16 +155,16 @@ func (v *Vector) Int64s() []int64 {
 	if v.kind != KindInt64 && v.kind != KindTime {
 		panic(fmt.Sprintf("vector: Int64s on %s vector", v.kind))
 	}
-	return v.is
+	return view(v, v.is)
 }
 
 // Float64s returns the backing slice of a DOUBLE vector (read-only view;
 // see Bools).
-func (v *Vector) Float64s() []float64 { v.mustKind(KindFloat64); return v.fs }
+func (v *Vector) Float64s() []float64 { v.mustKind(KindFloat64); return view(v, v.fs) }
 
 // Strings returns the backing slice of a VARCHAR vector (read-only view;
 // see Bools).
-func (v *Vector) Strings() []string { v.mustKind(KindString); return v.ss }
+func (v *Vector) Strings() []string { v.mustKind(KindString); return view(v, v.ss) }
 
 func (v *Vector) mustKind(k Kind) {
 	if v.kind != k {
@@ -211,7 +217,9 @@ func (v *Vector) AppendValue(val Value) {
 }
 
 // Get returns the value at index i as a scalar Value.
-func (v *Vector) Get(i int) Value {
+func (v *Vector) Get(i int) Value { return v.stored(v.row(i)) }
+
+func (v *Vector) stored(i int) Value {
 	switch v.kind {
 	case KindBool:
 		return Value{Kind: KindBool, B: v.bs[i]}
@@ -234,6 +242,13 @@ func (v *Vector) Get(i int) Value {
 // first (capacity is capped at the window, so even an append can never
 // bleed into the parent's tail).
 func (v *Vector) Slice(lo, hi int) *Vector {
+	if v.isConst {
+		if lo < 0 || hi < lo || hi > v.Len() {
+			panic(fmt.Sprintf("vector: slice bounds [%d:%d] out of range [0:%d]", lo, hi, v.Len()))
+		}
+		v.sh.refs.Add(1)
+		return v.constOf(hi-lo, v.sh)
+	}
 	v.sh.refs.Add(1)
 	out := &Vector{kind: v.kind, sh: v.sh}
 	switch v.kind {
@@ -250,8 +265,12 @@ func (v *Vector) Slice(lo, hi int) *Vector {
 }
 
 // Gather returns a new vector containing v[sel[0]], v[sel[1]], ... .
-// Unlike Slice it always copies: the result is exclusively owned.
+// Unlike Slice it always copies: the result is exclusively owned (a
+// Const gathers to a Const of len(sel) rows).
 func (v *Vector) Gather(sel []int) *Vector {
+	if v.isConst {
+		return v.constOf(len(sel), newShare())
+	}
 	out := New(v.kind, len(sel))
 	switch v.kind {
 	case KindBool:
@@ -275,23 +294,36 @@ func (v *Vector) Gather(sel []int) *Vector {
 }
 
 // AppendVector appends all values of src (same kind) to v. src is only
-// read; v materializes shared storage first.
+// read; v materializes shared storage first. A Const stays Const when
+// src is a Const of the same value.
 func (v *Vector) AppendVector(src *Vector) {
 	if src.kind != v.kind && !(v.kind == KindTime && src.kind == KindInt64) &&
 		!(v.kind == KindInt64 && src.kind == KindTime) {
 		panic(fmt.Sprintf("vector: AppendVector kind mismatch: %s vs %s", v.kind, src.kind))
 	}
+	if v.isConst && src.isConst && v.sameConst(src) {
+		v.constLen = constRows(v.Len() + src.Len())
+		return
+	}
 	v.materialize()
 	switch v.kind {
 	case KindBool:
-		v.bs = append(v.bs, src.bs...)
+		v.bs = appendRows(v.bs, src.bs, src)
 	case KindInt64, KindTime:
-		v.is = append(v.is, src.is...)
+		v.is = appendRows(v.is, src.is, src)
 	case KindFloat64:
-		v.fs = append(v.fs, src.fs...)
+		v.fs = appendRows(v.fs, src.fs, src)
 	case KindString:
-		v.ss = append(v.ss, src.ss...)
+		v.ss = appendRows(v.ss, src.ss, src)
 	}
+}
+
+// appendRows appends the rows of src, whose storage is s.
+func appendRows[T any](dst, s []T, src *Vector) []T {
+	if src.isConst {
+		return appendN(dst, s[0], src.Len())
+	}
+	return append(dst, s...)
 }
 
 // Clone returns a deep copy of v: exclusively owned storage, regardless
@@ -305,6 +337,7 @@ func (v *Vector) Clone() *Vector {
 
 // Format returns the display form of the value at index i.
 func (v *Vector) Format(i int) string {
+	i = v.row(i)
 	switch v.kind {
 	case KindBool:
 		return strconv.FormatBool(v.bs[i])
