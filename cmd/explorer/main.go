@@ -20,8 +20,8 @@
 // without executing anything. -spillthreshold requires -spilldir.
 //
 // -nostats disables statistics-free Stage-2 planning (file pruning from
-// the frozen Qf result, join ordering, honest admission sizing) — the
-// A/B switch for demonstrating what the planner saves.
+// the frozen Qf result, hash-join build sides, honest admission
+// sizing) — the A/B switch for demonstrating what the planner saves.
 //
 // Shell commands:
 //
@@ -70,7 +70,7 @@ func main() {
 		rcacheMB = flag.Int64("resultcache", 0, "result-cache budget in MiB (0 = off, -1 = unlimited)")
 		subsume  = flag.Bool("subsume", false, "answer narrower queries by re-filtering wider cached results (requires -resultcache)")
 		sessFlag = flag.String("session", "explorer", "session identity for admission quotas and per-session stats")
-		nostats  = flag.Bool("nostats", false, "disable statistics-free Stage-2 planning (pruning, join ordering, honest admission)")
+		nostats  = flag.Bool("nostats", false, "disable statistics-free Stage-2 planning (pruning, build sides, honest admission)")
 		spillDir = flag.String("spilldir", "", "directory for out-of-core spill files and the persistent result cache")
 		spillMB  = flag.Int64("spillthreshold", 0, "spill a flight's replay buffer past this many MiB (requires -spilldir)")
 	)
@@ -115,24 +115,12 @@ func main() {
 	case *rcacheMB < 0:
 		opts.ResultCacheBytes = -1
 	}
-	if *subsume {
-		if opts.ResultCacheBytes == 0 {
-			fmt.Fprintln(os.Stderr, "explorer: -subsume requires -resultcache")
-			os.Exit(2)
-		}
-		opts.ResultCacheSubsumption = true
-	}
+	opts.ResultCacheSubsumption = *subsume
 	if *nostats {
 		opts.StatsPlanning = core.StatsPlanningOff
 	}
-	if *spillMB != 0 && *spillDir == "" {
-		fmt.Fprintln(os.Stderr, "explorer: -spillthreshold requires -spilldir")
-		os.Exit(2)
-	}
-	if *spillDir != "" {
-		opts.SpillDir = *spillDir
-		opts.SpillThresholdBytes = *spillMB << 20
-	}
+	opts.SpillDir = *spillDir
+	opts.SpillThresholdBytes = *spillMB << 20
 
 	fmt.Printf("opening %s repository (%s mode)...\n", *repoDir, opts.Mode)
 	eng, err := core.Open(opts)
@@ -219,9 +207,9 @@ func printEngineStats(eng *core.Engine) {
 		fmt.Println("result cache: disabled (run with -resultcache to enable)")
 	}
 	ps := eng.PlannerStats()
-	fmt.Printf("stats planning: %d files (%d records, %s) pruned before mounting; %d join reorders, %d build-side flips; admission charged %s under worst case\n",
+	fmt.Printf("stats planning: %d files (%d records, %s) pruned before mounting; %d build-side flips; admission charged %s under worst case\n",
 		ps.PrunedFiles, ps.PrunedRecords, unit.FormatBytes(ps.BytesNotMounted),
-		ps.JoinOrderFlips, ps.JoinBuildFlips, unit.FormatBytes(ps.AdmissionBytesSaved))
+		ps.JoinBuildFlips, unit.FormatBytes(ps.AdmissionBytesSaved))
 }
 
 // printPerSession renders a per-session admission breakdown, sorted by

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -349,33 +350,6 @@ func TestTupleGranularCacheContainment(t *testing.T) {
 	}
 }
 
-func TestPerFileStrategyMatchesBulk(t *testing.T) {
-	m := testRepo(t)
-	bulk := openEngine(t, m.Dir, Options{Mode: ModeALi, Strategy: StrategyBulk})
-	perFile := openEngine(t, m.Dir, Options{Mode: ModeALi, Strategy: StrategyPerFile})
-
-	q := `SELECT AVG(D.sample_value)
-	FROM F JOIN R ON F.uri = R.uri
-	JOIN D ON R.uri = D.uri AND R.record_id = D.record_id
-	WHERE F.station = 'ISK'
-	AND D.sample_time > '2010-01-12T22:15:00.000'
-	AND D.sample_time < '2010-01-12T22:15:02.000'`
-	rb, err := bulk.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp, err := perFile.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(rb.Float(0, 0)-rp.Float(0, 0)) > 1e-9 {
-		t.Errorf("bulk %v != per-file %v", rb.Float(0, 0), rp.Float(0, 0))
-	}
-	if rp.Stats.Strategy != StrategyPerFile {
-		t.Error("strategy not recorded")
-	}
-}
-
 func TestDerivedMetadataAnswersSecondQuery(t *testing.T) {
 	m := testRepo(t)
 	e := openEngine(t, m.Dir, Options{Mode: ModeALi, EnableDerived: true})
@@ -513,6 +487,50 @@ func TestReopenPersistedALiDatabase(t *testing.T) {
 	}
 	if math.Abs(r1.Float(0, 0)-r2.Float(0, 0)) > 1e-9 {
 		t.Error("answer changed after reopen")
+	}
+}
+
+// TestOpenRejectsUnhonouredOptions pins that Open fails on an option it
+// cannot honour instead of silently dropping it, and still opens the
+// neighbouring combinations it can.
+func TestOpenRejectsUnhonouredOptions(t *testing.T) {
+	m := testRepo(t)
+	spill := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		opts Options
+		want string // error substring; "" means Open must succeed
+	}{
+		{"share above one", Options{MountBudgetBytes: 1 << 20, MountMaxSessionShare: 1.5}, "MountMaxSessionShare"},
+		{"share NaN", Options{MountBudgetBytes: 1 << 20, MountMaxSessionShare: math.NaN()}, "MountMaxSessionShare"},
+		{"share +Inf", Options{MountMaxSessionShare: math.Inf(1)}, "MountMaxSessionShare"},
+		{"subsumption without cache", Options{ResultCacheSubsumption: true}, "ResultCacheBytes"},
+		{"spill threshold without dir", Options{SpillThresholdBytes: 1}, "SpillDir"},
+		{"share one", Options{MountBudgetBytes: 1 << 20, MountMaxSessionShare: 1}, ""},
+		{"share off", Options{MountMaxSessionShare: -1}, ""},
+		{"subsumption with cache", Options{ResultCacheSubsumption: true, ResultCacheBytes: -1}, ""},
+		{"spill threshold with dir", Options{SpillThresholdBytes: 1, SpillDir: spill}, ""},
+		{"spill threshold off without dir", Options{SpillThresholdBytes: -1}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.opts.RepoDir = m.Dir
+			tc.opts.DBDir = filepath.Join(t.TempDir(), "db")
+			e, err := Open(tc.opts)
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("Open: %v", err)
+				}
+				e.Close()
+				return
+			}
+			if err == nil {
+				e.Close()
+				t.Fatalf("Open accepted %+v", tc.opts)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Open error %q does not name %s", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -53,28 +54,6 @@ func (m Mode) String() string {
 		return "ALi"
 	}
 	return "Ei"
-}
-
-// MergeStrategy selects how the second stage combines per-file data —
-// the paper's run-time optimization question (a) vs (b).
-type MergeStrategy int
-
-// Merge strategies.
-const (
-	// StrategyBulk merges mounted data into one stream and runs the
-	// higher operators once (paper's option (a)).
-	StrategyBulk MergeStrategy = iota
-	// StrategyPerFile runs the higher operators per file and merges the
-	// partial results (paper's option (b); applies to global aggregates,
-	// falling back to bulk otherwise).
-	StrategyPerFile
-)
-
-func (s MergeStrategy) String() string {
-	if s == StrategyBulk {
-		return "bulk"
-	}
-	return "per-file"
 }
 
 // Options configures an Engine.
@@ -149,7 +128,8 @@ type Options struct {
 	SpillDir string
 	// SpillThresholdBytes is the resident replay-buffer size above which
 	// a mount flight spills. <= 0 disables flight spilling even with
-	// SpillDir set (the result-cache disk tier still runs).
+	// SpillDir set (the result-cache disk tier still runs); > 0 requires
+	// SpillDir.
 	SpillThresholdBytes int64
 	// ResultCacheDiskBytes bounds the result cache's disk tier (its own
 	// LRU, counted separately from ResultCacheBytes which covers resident
@@ -157,8 +137,6 @@ type Options struct {
 	ResultCacheDiskBytes int64
 	// EnableDerived turns on derived-metadata collection and answering.
 	EnableDerived bool
-	// Strategy selects the second-stage merge strategy.
-	Strategy MergeStrategy
 	// StatsPlanning gates the statistics-free Stage-2 planner fed by the
 	// frozen Qf result (see internal/stats). The zero value is on;
 	// StatsPlanningOff restores pre-planner behaviour for A/B runs.
@@ -203,7 +181,6 @@ type Engine struct {
 	statPrunedFiles     atomic.Int64
 	statPrunedRecords   atomic.Int64
 	statBytesNotMounted atomic.Int64
-	statJoinOrderFlips  atomic.Int64
 	statJoinBuildFlips  atomic.Int64
 
 	// data-table column positions for the derived-metadata hook
@@ -213,8 +190,8 @@ type Engine struct {
 // Open creates (or reopens) an engine over a repository and performs the
 // mode's up-front ingestion.
 func Open(opts Options) (*Engine, error) {
-	if opts.RepoDir == "" || opts.DBDir == "" {
-		return nil, fmt.Errorf("core: Options needs RepoDir and DBDir")
+	if err := opts.validate(); err != nil {
+		return nil, err
 	}
 	if opts.Adapter == nil {
 		opts.Adapter = seismic.NewAdapter()
@@ -349,6 +326,21 @@ func Open(opts Options) (*Engine, error) {
 	e.report.Wall = time.Since(start)
 	e.report.ModeledIO = clock.Elapsed() - ioStart
 	return e, nil
+}
+
+// validate rejects options Open cannot honour, instead of dropping them.
+func (o Options) validate() error {
+	switch {
+	case o.RepoDir == "" || o.DBDir == "":
+		return fmt.Errorf("core: Options needs RepoDir and DBDir")
+	case o.MountMaxSessionShare > 1 || math.IsNaN(o.MountMaxSessionShare):
+		return fmt.Errorf("core: MountMaxSessionShare %v is not in (0, 1]", o.MountMaxSessionShare)
+	case o.ResultCacheSubsumption && o.ResultCacheBytes == 0:
+		return fmt.Errorf("core: ResultCacheSubsumption requires ResultCacheBytes")
+	case o.SpillThresholdBytes > 0 && o.SpillDir == "":
+		return fmt.Errorf("core: SpillThresholdBytes requires SpillDir")
+	}
+	return nil
 }
 
 // locateDataColumns finds the record-id, span and value columns of the

@@ -62,20 +62,17 @@ func (b *Breakpoint) ProceedIncremental(batchFiles int, observe func(Partial) bo
 	if err != nil {
 		return nil, err
 	}
-	proj, agg, union := matchGlobalAggOverUnion(resolved)
-	env := e.newExecEnv(b.pq, b)
-
 	elapsed := func() time.Duration {
 		return time.Since(start) + e.clock.Elapsed() - ioStart
 	}
 
+	proj, agg, union := matchGlobalAggOverUnion(resolved)
 	if agg == nil || union == nil {
 		// Not a global aggregate: single round, one final callback.
-		mat, err := exec.Run(resolved, env)
+		res, err := b.runWhole(resolved, start, ioStart)
 		if err != nil {
 			return nil, err
 		}
-		res := b.assembleResult(mat, env, start, ioStart, false)
 		if observe != nil {
 			observe(Partial{
 				FilesProcessed: len(b.files), FilesTotal: len(b.files),
@@ -85,6 +82,7 @@ func (b *Breakpoint) ProceedIncremental(batchFiles int, observe func(Partial) bo
 		return res, nil
 	}
 
+	env := e.newExecEnv(b.pq, b)
 	states := exec.NewAggStates(agg.Aggs)
 	outSchema := resolved.Schema()
 	stopped := false
@@ -126,6 +124,33 @@ func (b *Breakpoint) ProceedIncremental(batchFiles int, observe func(Partial) bo
 	row := finalizeStates(agg, proj, states)
 	mat := &exec.Materialized{Schema: outSchema, Batches: []*vector.Batch{row}}
 	return b.assembleResult(mat, env, start, ioStart, stopped), nil
+}
+
+// matchGlobalAggOverUnion recognizes Project?(Aggregate(subtree
+// containing one UnionAll)) with no GROUP BY.
+func matchGlobalAggOverUnion(root plan.Node) (*plan.Project, *plan.Aggregate, *plan.UnionAll) {
+	var proj *plan.Project
+	n := root
+	if p, ok := n.(*plan.Project); ok {
+		proj = p
+		n = p.Child
+	}
+	agg, ok := n.(*plan.Aggregate)
+	if !ok || len(agg.GroupBy) > 0 {
+		return nil, nil, nil
+	}
+	var union *plan.UnionAll
+	count := 0
+	plan.Walk(agg.Child, func(x plan.Node) {
+		if u, ok := x.(*plan.UnionAll); ok {
+			union = u
+			count++
+		}
+	})
+	if count != 1 {
+		return nil, nil, nil
+	}
+	return proj, agg, union
 }
 
 // accumulate feeds a materialized child result into the aggregate states.
@@ -178,7 +203,6 @@ func (b *Breakpoint) assembleResult(mat *exec.Materialized, env *exec.Env, start
 		FilesOfInterest: len(b.files),
 		Mounts:          b.stage2Mounts(env),
 		Estimate:        b.Est,
-		Strategy:        e.opts.Strategy,
 		StoppedEarly:    stopped,
 	}
 	st.TotalWall = st.Stage1Wall + st.Stage2Wall

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/vector"
@@ -60,26 +59,6 @@ func TestParallelismDeterministic(t *testing.T) {
 				assertSameValues(t, mode.String()+"/"+q[:20], want, got)
 			}
 		}
-	}
-}
-
-// TestParallelismDeterministicPerFile covers the per-file merge
-// strategy, whose float accumulation must merge partial states in file
-// order at any worker count.
-func TestParallelismDeterministicPerFile(t *testing.T) {
-	m := testRepo(t)
-	q := `SELECT AVG(D.sample_value), COUNT(*) AS n
-FROM F JOIN R ON F.uri = R.uri
-JOIN D ON R.uri = D.uri AND R.record_id = D.record_id
-WHERE R.start_time > '2010-01-12T00:00:00.000'
-AND R.start_time < '2010-01-12T23:59:59.999'`
-	seq := openEngine(t, m.Dir, Options{Mode: ModeALi, Strategy: StrategyPerFile, Parallelism: 1})
-	par := openEngine(t, m.Dir, Options{Mode: ModeALi, Strategy: StrategyPerFile, Parallelism: 8})
-	want := queryAllValues(t, seq, q, true)
-	got := queryAllValues(t, par, q, true)
-	assertSameValues(t, "per-file", want, got)
-	if math.IsNaN(want[0].AsFloat()) {
-		t.Fatal("per-file aggregate returned NaN")
 	}
 }
 

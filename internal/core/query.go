@@ -85,7 +85,6 @@ type Breakpoint struct {
 	prunedFiles     int
 	prunedRecords   int
 	bytesNotMounted int64
-	joinFlips       int
 }
 
 // Done reports whether the query is already answered (no second stage).
@@ -157,8 +156,8 @@ func (p *Prepared) Stage1() (*Breakpoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		// The Qf result is replayed by every per-file subplan of stage
-		// two, possibly concurrently at any parallelism: freeze it so the
+		// The Qf result is replayed by every ingestion round of stage
+		// two, its mounts running at any parallelism: freeze it so the
 		// replays are O(1) shares and any mutation anywhere materializes
 		// a private copy instead of corrupting the shared result.
 		mat.Freeze()
@@ -255,47 +254,29 @@ func (b *Breakpoint) Proceed() (*Result, error) {
 	if b.final != nil {
 		return b.final, nil
 	}
-	e := b.pq.eng
-	start := time.Now()
-	ioStart := e.clock.Elapsed()
-
+	start, ioStart := time.Now(), b.pq.eng.clock.Elapsed()
 	resolved, err := b.stage2Plan()
 	if err != nil {
 		return nil, err
 	}
-	env := e.newExecEnv(b.pq, b)
+	return b.runWhole(resolved, start, ioStart)
+}
 
-	var mat *exec.Materialized
-	if e.opts.Strategy == StrategyPerFile {
-		mat, err = e.runPerFile(resolved, env)
-	} else {
-		mat, err = exec.Run(resolved, env)
-	}
+// runWhole executes the resolved Stage-2 plan in one piece and
+// assembles its result.
+func (b *Breakpoint) runWhole(resolved plan.Node, start time.Time, ioStart time.Duration) (*Result, error) {
+	env := b.pq.eng.newExecEnv(b.pq, b)
+	mat, err := exec.Run(resolved, env)
 	if err != nil {
 		return nil, err
 	}
-
-	st := Stats{
-		Stage1Wall:      b.stage1Wall,
-		Stage1IO:        b.stage1IO,
-		Stage2Wall:      time.Since(start),
-		Stage2IO:        e.clock.Elapsed() - ioStart,
-		FilesOfInterest: len(b.files),
-		Mounts:          b.stage2Mounts(env),
-		Estimate:        b.Est,
-		Strategy:        e.opts.Strategy,
-	}
-	st.TotalWall = st.Stage1Wall + st.Stage2Wall
-	st.TotalIO = st.Stage1IO + st.Stage2IO
-	res := &Result{Columns: columnNames(mat.Schema), Mat: mat, Stats: st}
-	b.pq.eng.offerToResultCache(b.pq, res)
-	return res, nil
+	return b.assembleResult(mat, env, start, ioStart, false), nil
 }
 
 // stage2Plan is the run-time query optimization phase Proceed and
-// ProceedIncremental share: rule (1), join ordering, then column pruning
-// — after everything keyed on the unpruned plan (fingerprint,
-// subsumption summary, Qf, the oracle) was computed.
+// ProceedIncremental share: rule (1), then column pruning — after
+// everything keyed on the unpruned plan (fingerprint, subsumption
+// summary, Qf, the oracle) was computed.
 func (b *Breakpoint) stage2Plan() (plan.Node, error) {
 	e := b.pq.eng
 	root := b.pq.Root
@@ -304,7 +285,6 @@ func (b *Breakpoint) stage2Plan() (plan.Node, error) {
 	}
 	actual := b.pq.actuals[0]
 	rewritten := plan.ApplyRule1(root, actual.Binding, e.adapter.Name(), b.files)
-	rewritten = b.orderStage2Joins(rewritten)
 	return plan.Resolve(plan.PruneColumns(rewritten))
 }
 

@@ -28,8 +28,6 @@ type Stats struct {
 	MetadataOnly bool
 	// AnsweredFromDerived: answered from derived metadata, skipping ALi.
 	AnsweredFromDerived bool
-	// Strategy used in stage two.
-	Strategy MergeStrategy
 	// StoppedEarly marks a multi-stage execution the explorer stopped
 	// before all files of interest were ingested; the result is the
 	// partial aggregate over the ingested prefix.

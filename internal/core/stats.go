@@ -12,10 +12,9 @@ import (
 // Qf result is a perfect, free cardinality oracle: exact per-record row
 // counts and spans with zero statistics collection. The engine uses it
 // to prune files from the mount list before the mount service sees
-// them, order Stage-2 join chains greedily, pick hash-join build sides,
-// and size admission requests honestly. Everything is gated by
-// Options.StatsPlanning and guaranteed not to change results — only
-// how much work producing them costs.
+// them, pick hash-join build sides, and size admission requests
+// honestly. Everything is gated by Options.StatsPlanning and guaranteed
+// not to change results — only how much work producing them costs.
 
 // StatsPlanningMode gates the statistics-free planner.
 type StatsPlanningMode int
@@ -23,8 +22,8 @@ type StatsPlanningMode int
 // StatsPlanning settings. The zero value is ON: the planner only ever
 // skips provably useless work, so there is no reason to opt in.
 const (
-	// StatsPlanningOn enables Qf-fed pruning, join ordering, build-side
-	// selection and honest admission sizing (the default).
+	// StatsPlanningOn enables Qf-fed pruning, build-side selection and
+	// honest admission sizing (the default).
 	StatsPlanningOn StatsPlanningMode = iota
 	// StatsPlanningOff disables the oracle entirely; Stage 2 plans and
 	// admits exactly as it would have before the planner existed. The
@@ -110,55 +109,6 @@ func (e *Engine) buildOracle(p *Prepared, bp *Breakpoint) *stats.Oracle {
 	return o
 }
 
-// orderStage2Joins applies the oracle's join-chain rewrites to the
-// rule-(1)-expanded Stage-2 plan. Order-insensitive consumers (global
-// aggregates without float-order-sensitive functions) get the full
-// greedy smallest-first reorder; everything else gets only the
-// always-safe empty-chain early termination, preserving row order and
-// therefore byte-identical output.
-func (b *Breakpoint) orderStage2Joins(root plan.Node) plan.Node {
-	if b.oracle == nil {
-		return root
-	}
-	var out plan.Node
-	var flips int
-	if orderInsensitiveOutput(root) {
-		out, flips = plan.OrderJoins(root, b.oracle.NodeRows)
-	} else {
-		out, flips = plan.PruneEmptyJoins(root, b.oracle.NodeRows)
-	}
-	b.joinFlips += flips
-	return out
-}
-
-// orderInsensitiveOutput reports whether the plan's final answer cannot
-// depend on input row order: a global aggregate (no GROUP BY) whose
-// every function is order-insensitive over floats too — COUNT, MIN,
-// MAX always; SUM only over int/time arguments (float addition is not
-// associative); AVG never.
-func orderInsensitiveOutput(root plan.Node) bool {
-	n := root
-	if p, ok := n.(*plan.Project); ok {
-		n = p.Child
-	}
-	agg, ok := n.(*plan.Aggregate)
-	if !ok || len(agg.GroupBy) > 0 {
-		return false
-	}
-	for _, spec := range agg.Aggs {
-		switch spec.Func {
-		case plan.AggCount, plan.AggMin, plan.AggMax:
-		case plan.AggSum:
-			if spec.Arg == nil || spec.Arg.Kind() == vector.KindFloat64 {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return true
-}
-
 // stage2Mounts folds the breakpoint's planner counters into the
 // execution env's mount statistics and records them on the engine.
 func (b *Breakpoint) stage2Mounts(env *exec.Env) exec.MountStats {
@@ -166,7 +116,6 @@ func (b *Breakpoint) stage2Mounts(env *exec.Env) exec.MountStats {
 	ms.PrunedFiles += b.prunedFiles
 	ms.PrunedRecords += b.prunedRecords
 	ms.BytesNotMounted += b.bytesNotMounted
-	ms.JoinOrderFlips += b.joinFlips
 	b.pq.eng.notePlannerStats(ms)
 	return ms
 }
@@ -177,7 +126,6 @@ type PlannerStats struct {
 	PrunedFiles         int64
 	PrunedRecords       int64
 	BytesNotMounted     int64
-	JoinOrderFlips      int64
 	JoinBuildFlips      int64
 	AdmissionBytesSaved int64
 }
@@ -189,7 +137,6 @@ func (e *Engine) PlannerStats() PlannerStats {
 		PrunedFiles:         e.statPrunedFiles.Load(),
 		PrunedRecords:       e.statPrunedRecords.Load(),
 		BytesNotMounted:     e.statBytesNotMounted.Load(),
-		JoinOrderFlips:      e.statJoinOrderFlips.Load(),
 		JoinBuildFlips:      e.statJoinBuildFlips.Load(),
 		AdmissionBytesSaved: e.mounts.Stats().AdmissionBytesSaved,
 	}
@@ -201,6 +148,5 @@ func (e *Engine) notePlannerStats(ms exec.MountStats) {
 	e.statPrunedFiles.Add(int64(ms.PrunedFiles))
 	e.statPrunedRecords.Add(int64(ms.PrunedRecords))
 	e.statBytesNotMounted.Add(ms.BytesNotMounted)
-	e.statJoinOrderFlips.Add(int64(ms.JoinOrderFlips))
 	e.statJoinBuildFlips.Add(int64(ms.JoinBuildFlips))
 }

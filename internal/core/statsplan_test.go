@@ -18,13 +18,31 @@ AND R.start_time < '2010-01-13T23:59:59.999'
 AND D.sample_time > '2010-01-12T22:15:00.000'
 AND D.sample_time < '2010-01-12T22:15:02.000';`
 
+// orderFreeQuery is an order-insensitive global aggregate over the
+// three-way F ⋈ R ⋈ D chain: its answer cannot depend on join order.
+const orderFreeQuery = `SELECT COUNT(*) AS n, MIN(D.sample_value), MAX(D.sample_value)
+FROM F JOIN R ON F.uri = R.uri
+JOIN D ON R.uri = D.uri AND R.record_id = D.record_id
+WHERE F.station = 'ISK'
+AND R.start_time > '2010-01-12T00:00:00.000'
+AND R.start_time < '2010-01-12T23:59:59.999';`
+
+// emptyQfQuery names a station the repository does not hold: Qf is
+// empty, so Stage 2 has no file to mount.
+const emptyQfQuery = `SELECT D.sample_time, D.sample_value
+FROM F JOIN R ON F.uri = R.uri
+JOIN D ON R.uri = D.uri AND R.record_id = D.record_id
+WHERE F.station = 'NOPE'
+AND D.sample_time > '2010-01-12T22:15:00.000'
+AND D.sample_time < '2010-01-12T22:15:02.000';`
+
 // TestStatsPlanningDifferential pins the planner's core guarantee:
 // byte-identical answers with StatsPlanning on and off, at serial and
 // parallel execution, across order-sensitive (AVG, projection) and
-// order-insensitive (COUNT) outputs.
+// order-insensitive (COUNT, MIN, MAX) outputs, and over an empty Qf.
 func TestStatsPlanningDifferential(t *testing.T) {
 	m := testRepo(t)
-	queries := []string{query1, query2, pruneQuery}
+	queries := []string{query1, query2, pruneQuery, orderFreeQuery, emptyQfQuery}
 	for _, par := range []int{1, 4} {
 		on := openEngine(t, m.Dir, Options{Mode: ModeALi, Parallelism: par})
 		off := openEngine(t, m.Dir, Options{Mode: ModeALi, Parallelism: par, StatsPlanning: StatsPlanningOff})
@@ -40,6 +58,60 @@ func TestStatsPlanningDifferential(t *testing.T) {
 			if a.Format(0) != b.Format(0) {
 				t.Errorf("par=%d q%d: results differ\non:\n%s\noff:\n%s",
 					par, qi, a.Format(0), b.Format(0))
+			}
+			if q == emptyQfQuery {
+				if a.Rows() != 0 {
+					t.Errorf("par=%d: empty Qf answered %d rows", par, a.Rows())
+				}
+				if n := a.Stats.Mounts.FilesMounted + b.Stats.Mounts.FilesMounted; n != 0 {
+					t.Errorf("par=%d: empty Qf mounted %d files", par, n)
+				}
+			}
+		}
+	}
+}
+
+// TestEmptyQfMountsNothing pins what an empty Qf result does to Stage 2
+// on both ways to finish it: the join's build side is empty, so the
+// answer keeps the query's columns, has no rows, and no file mounts —
+// whether Stage 2 runs once (Proceed) or per chunk (ProceedIncremental).
+func TestEmptyQfMountsNothing(t *testing.T) {
+	m := testRepo(t)
+	wantCols := []string{"sample_time", "sample_value"}
+	for _, par := range []int{1, 4} {
+		e := openEngine(t, m.Dir, Options{Mode: ModeALi, Parallelism: par})
+		finish := map[string]func(*Breakpoint) (*Result, error){
+			"Proceed": (*Breakpoint).Proceed,
+			"ProceedIncremental": func(bp *Breakpoint) (*Result, error) {
+				return bp.ProceedIncremental(1, func(pt Partial) bool {
+					if pt.FilesTotal != 0 {
+						t.Errorf("par=%d: empty Qf reported %d files to ingest", par, pt.FilesTotal)
+					}
+					return true
+				})
+			},
+		}
+		for name, run := range finish {
+			p, err := e.Prepare(emptyQfQuery)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bp, err := p.Stage1()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := run(bp)
+			if err != nil {
+				t.Fatalf("par=%d %s: %v", par, name, err)
+			}
+			if res.Rows() != 0 {
+				t.Errorf("par=%d %s: %d rows, want 0", par, name, res.Rows())
+			}
+			if n := res.Stats.Mounts.FilesMounted; n != 0 {
+				t.Errorf("par=%d %s: mounted %d files, want 0", par, name, n)
+			}
+			if fmt.Sprint(res.Columns) != fmt.Sprint(wantCols) {
+				t.Errorf("par=%d %s: columns %v, want %v", par, name, res.Columns, wantCols)
 			}
 		}
 	}

@@ -126,14 +126,16 @@ type MountStats struct {
 	// Statistics-free planner counters. PrunedFiles/PrunedRecords count
 	// mounts the Qf-fed oracle proved pointless and dropped before the
 	// mount service saw them (BytesNotMounted totals their on-disk
-	// bytes); JoinOrderFlips counts join chains greedily reordered or
-	// emptied; JoinBuildFlips counts hash joins that built on the left
+	// bytes); JoinBuildFlips counts hash joins that built on the left
 	// because the oracle proved it smaller; AdmissionBytesSaved totals
 	// budget bytes the honest (summary-derived) mount estimates left
 	// free for other flights.
-	PrunedFiles         int
-	PrunedRecords       int
-	BytesNotMounted     int64
+	PrunedFiles     int
+	PrunedRecords   int
+	BytesNotMounted int64
+	// JoinOrderFlips is always 0: nothing sets it. It stays only because
+	// benchmark/engine.go still reads it; remove it together with that
+	// read.
 	JoinOrderFlips      int
 	JoinBuildFlips      int
 	AdmissionBytesSaved int64

@@ -296,8 +296,8 @@ func TestCachedEntrySurvivesDownstreamMutation(t *testing.T) {
 }
 
 // TestResultScanSharesAreCopyOnWrite proves the same discipline for
-// replayed materialized results: per-file subplans and incremental
-// rounds replay one shared Qf result through O(1) shares, and mutating a
+// replayed materialized results: incremental-ingestion rounds replay
+// one shared Qf result through O(1) shares, and mutating a
 // replayed batch materializes a private copy instead of corrupting the
 // shared materialization.
 func TestResultScanSharesAreCopyOnWrite(t *testing.T) {

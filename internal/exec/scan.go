@@ -199,10 +199,9 @@ func (u *unionOp) Close() error {
 }
 
 // resultScanOp replays a materialized result. The same result is
-// replayed by every per-file subplan and every incremental-ingestion
-// round, so emitted batches are copy-on-write shares: replaying a Qf
-// result across K files costs K handle bumps, not K deep copies, and a
-// downstream mutation materializes a private copy without corrupting
+// replayed by every incremental-ingestion round, so emitted batches are
+// copy-on-write shares: replaying a Qf result across K files costs K
+// handle bumps, not K deep copies, and a downstream mutation materializes a private copy without corrupting
 // the shared materialization (which the engine additionally freezes).
 // A column-pruned result-scan shares only the columns it lists.
 type resultScanOp struct {

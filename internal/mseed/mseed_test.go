@@ -123,7 +123,7 @@ func TestSteimDetectsCorruption(t *testing.T) {
 func TestHeaderRoundTrip(t *testing.T) {
 	h := Header{
 		Seq: 7, Network: "NL", Station: "ISK", Location: "00", Channel: "BHE",
-		StartTime: 1263247200 * 1e9, SampleRate: 40, NSamples: 1234, FrameBytes: FrameSize * 3,
+		StartTime: 1263247200 * 1e9, SampleRate: 40, NSamples: 1234, FrameBytes: FrameSize * 21,
 	}
 	var buf [HeaderSize]byte
 	MarshalHeader(buf[:], h)

@@ -5,8 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
-	"slices"
 	"time"
 )
 
@@ -109,6 +109,13 @@ func UnmarshalHeader(src []byte) (Header, error) {
 		return Header{}, fmt.Errorf("mseed: record %d: frame bytes %d not a multiple of %d",
 			h.Seq, h.FrameBytes, FrameSize)
 	}
+	if h.NSamples > maxSamples(h.FrameBytes) {
+		return Header{}, fmt.Errorf("mseed: record %d: %d frame bytes cannot hold %d samples",
+			h.Seq, h.FrameBytes, h.NSamples)
+	}
+	if math.IsNaN(h.SampleRate) || math.IsInf(h.SampleRate, 0) {
+		return Header{}, fmt.Errorf("mseed: record %d: sample rate %v", h.Seq, h.SampleRate)
+	}
 	if h.SampleRate <= 0 && h.NSamples > 1 {
 		return Header{}, fmt.Errorf("mseed: record %d: non-positive sample rate", h.Seq)
 	}
@@ -172,14 +179,28 @@ func (r *Reader) NextHeader() (Header, error) {
 // suffices (nil: a fresh slice the caller owns). A caller that copies
 // the samples out before the next record passes the previous result
 // back and decodes a whole file without a per-record allocation.
+// The payload buffer grows at most a MiB ahead of the bytes that have
+// arrived, so a corrupt FrameBytes cannot allocate more than the file
+// holds.
 func (r *Reader) ReadPayload(h Header, dst []int32) ([]int32, error) {
-	r.frames = slices.Grow(r.frames[:0], h.FrameBytes)[:h.FrameBytes]
-	frames := r.frames
-	if _, err := io.ReadFull(r.br, frames); err != nil {
-		r.err = fmt.Errorf("mseed: read payload of record %d: %w", h.Seq, err)
-		return nil, r.err
+	r.frames = r.frames[:0]
+	for lo := 0; lo < h.FrameBytes; lo = len(r.frames) {
+		n := min(h.FrameBytes-lo, 1<<20)
+		if lo+n > cap(r.frames) {
+			// Doubling keeps reuse across records; make+copy rather than
+			// slices.Grow, which under -race also allocates a temporary
+			// of the growth's size.
+			grown := make([]byte, lo, max(lo+n, min(2*cap(r.frames), lo+1<<20)))
+			copy(grown, r.frames)
+			r.frames = grown
+		}
+		r.frames = r.frames[:lo+n]
+		if _, err := io.ReadFull(r.br, r.frames[lo:]); err != nil {
+			r.err = fmt.Errorf("mseed: read payload of record %d: %w", h.Seq, err)
+			return nil, r.err
+		}
 	}
-	return DecodeSteim(dst, frames, h.NSamples)
+	return DecodeSteim(dst, r.frames, h.NSamples)
 }
 
 // SkipPayload discards the payload of the record whose header was just

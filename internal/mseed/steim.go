@@ -111,6 +111,16 @@ func EncodeSteim(samples []int32) []byte {
 	return frames
 }
 
+// maxSamples is the most samples frameBytes of frames can hold: X0 plus
+// four 8-bit deltas in each of the first frame's 13 data words, then
+// four in each of every later frame's 15.
+func maxSamples(frameBytes int) int {
+	if frameBytes < FrameSize {
+		return 0
+	}
+	return 1 + 13*4 + (frameBytes/FrameSize-1)*15*4
+}
+
 // DecodeSteim decompresses frames into exactly nsamples samples. It
 // verifies the reverse integration constant and fails loudly on
 // corruption — a mount must never silently produce wrong data.
@@ -123,8 +133,8 @@ func DecodeSteim(dst []int32, frames []byte, nsamples int) ([]int32, error) {
 	if len(frames)%FrameSize != 0 {
 		return nil, fmt.Errorf("mseed: frame data length %d not a multiple of %d", len(frames), FrameSize)
 	}
-	if len(frames) == 0 {
-		return nil, fmt.Errorf("mseed: no frames for %d samples", nsamples)
+	if nsamples < 0 || nsamples > maxSamples(len(frames)) {
+		return nil, fmt.Errorf("mseed: %d bytes of frames cannot hold %d samples", len(frames), nsamples)
 	}
 	x0 := int32(binary.BigEndian.Uint32(frames[4:8]))
 	xn := int32(binary.BigEndian.Uint32(frames[8:12]))

@@ -228,8 +228,8 @@ func CollectURIColumn(qs Node, rsName, actualBinding, uriColumn string) (string,
 }
 
 // ReplaceNode swaps the subtree identical to target (pointer equality)
-// with replacement — exported for engine-level plan surgery such as the
-// per-file merge strategy.
+// with replacement — exported for engine-level plan surgery such as
+// multi-stage execution's per-round union.
 func ReplaceNode(root, target, replacement Node) Node {
 	return replaceSubtree(root, target, replacement)
 }

@@ -6,14 +6,13 @@ import "repro/internal/expr"
 // top-down, each node learns which of its output columns its ancestors
 // reference (predicates, join keys, aggregate arguments, group-by
 // columns, projections, the final output); a ResultScan keeps only
-// those, a Join emits only those (Emit), and a Project below the root —
-// the schema-restoring one OrderJoins adds — drops the rest. Scans,
-// mounts, cache-scans and unions keep their full schema: ingestion-cache
-// entries, span retention and spill frames store whole rows. No node
-// loses its last column, so row counts survive COUNT(*). The engine
-// prunes the Stage-2 plan after rule (1) and join ordering, once the
-// fingerprint, subsumption summary and Qf were computed unpruned. The
-// result must be re-bound with Resolve.
+// those, a Join emits only those (Emit), and a Project drops the rest
+// of its expressions. Scans, mounts, cache-scans and unions keep their
+// full schema: ingestion-cache entries, span retention and spill frames
+// store whole rows. No node loses its last column, so row counts survive
+// COUNT(*). The engine prunes the Stage-2 plan right after rule (1),
+// once the fingerprint, subsumption summary and Qf were computed
+// unpruned. The result must be re-bound with Resolve.
 func PruneColumns(root Node) Node {
 	return pruneCols(root, allOf(root.Schema()))
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/expr"
 	"repro/internal/sql"
 )
 
@@ -93,35 +94,54 @@ func TestPruneColumnsStage2(t *testing.T) {
 	}
 }
 
-// TestPruneColumnsNarrowsRestoreProject pins pruning through the
-// schema-restoring projection OrderJoins puts above a reordered chain.
+// TestPruneColumnsNarrowsRestoreProject pins pruning through a Project
+// below the root: a hand-built projection that lists the join chain's
+// columns in reverse keeps only the one the aggregate reads, and so does
+// the join under it.
 func TestPruneColumnsNarrowsRestoreProject(t *testing.T) {
 	_, full := stage2(t, `SELECT COUNT(*), MAX(D.sample_value) FROM F JOIN R ON F.uri = R.uri
 		JOIN D ON R.uri = D.uri AND R.record_id = D.record_id WHERE F.station = 'ISK'`)
-	card := func(n Node) (int64, bool) {
-		switch n.(type) {
-		case *ResultScan:
-			return 100, true
-		case *UnionAll:
-			return 1, true
+	var chain *Join
+	Walk(full, func(n Node) {
+		if j, ok := n.(*Join); ok && chain == nil {
+			chain = j
 		}
-		return 0, false
+	})
+	if chain == nil {
+		t.Fatalf("no join in\n%s", Format(full))
 	}
-	reordered, flips := OrderJoins(full, card)
-	if flips != 1 {
-		t.Fatalf("OrderJoins flips = %d, want the chain reordered", flips)
+	cs := chain.Schema()
+	restore := &Project{Child: chain}
+	for i := len(cs) - 1; i >= 0; i-- {
+		q := cs[i].Qualified()
+		restore.Exprs = append(restore.Exprs, &expr.Col{Index: i, Name: q, K: cs[i].Kind})
+		restore.Names = append(restore.Names, q)
 	}
-	pruned, err := Resolve(PruneColumns(reordered))
+	pruned, err := Resolve(PruneColumns(ReplaceNode(full, chain, restore)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := []string{"D.sample_value"}
+	var projects, joins int
 	Walk(pruned, func(n Node) {
-		if j, ok := n.(*Join); ok {
-			if got := schemaNames(j.Schema()); !reflect.DeepEqual(got, []string{"D.sample_value"}) {
-				t.Errorf("reordered join emits %v, want [D.sample_value]", got)
+		switch x := n.(type) {
+		case *Project:
+			if _, ok := x.Child.(*Join); ok {
+				projects++
+				if got := schemaNames(x.Schema()); !reflect.DeepEqual(got, want) {
+					t.Errorf("restore project keeps %v, want %v", got, want)
+				}
+			}
+		case *Join:
+			joins++
+			if got := schemaNames(x.Schema()); !reflect.DeepEqual(got, want) {
+				t.Errorf("join emits %v, want %v", got, want)
 			}
 		}
 	})
+	if projects != 1 || joins == 0 {
+		t.Fatalf("pruned plan has %d restore projects and %d joins\n%s", projects, joins, Format(pruned))
+	}
 }
 
 // TestBindRejectsIncomparableJoinKeys pins the bind-time kind check: an
@@ -151,4 +171,12 @@ func TestBindRejectsIncomparableJoinKeys(t *testing.T) {
 			t.Errorf("ON %s: %v", on, err)
 		}
 	}
+}
+
+func schemaNames(s []ColInfo) []string {
+	out := make([]string, len(s))
+	for i, ci := range s {
+		out[i] = ci.Qualified()
+	}
+	return out
 }

@@ -5,13 +5,13 @@
 // measures — by the time Qs is planned, Qf has been run and frozen, so
 // every number the Oracle serves is exact, not an estimate.
 //
-// The Oracle answers four planning questions for Stage 2:
+// The Oracle answers three planning questions for Stage 2:
 //
 //   - which files/records provably cannot contribute a qualifying row
 //     (PruneFiles: the metadata record span or the derived value
 //     interval is disjoint from the residual predicate's interval);
 //   - how many rows a plan subtree yields at most (NodeRows, driving
-//     greedy join ordering and build-side selection);
+//     hash-join build-side selection);
 //   - how many bytes a mount will really buffer (EstimateBytes,
 //     scaling the file size by surviving records so admission stops
 //     charging worst case).
