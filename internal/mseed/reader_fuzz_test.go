@@ -140,3 +140,43 @@ func FuzzReader(f *testing.F) {
 		readAll(data)
 	})
 }
+
+// TestReaderReset: a pooled Reader that stopped on a torn file reads the
+// next file from its first record, as a fresh Reader would.
+func TestReaderReset(t *testing.T) {
+	valid := twoRecordFile(t)
+	torn := valid[:len(valid)-10]
+	r := GetReader(bytes.NewReader(torn))
+	for {
+		h, err := r.NextHeader()
+		if err == nil {
+			_, err = r.ReadPayload(h, nil)
+		}
+		if err == io.EOF {
+			t.Fatal("torn file read to EOF")
+		}
+		if err != nil {
+			break
+		}
+	}
+	r.Reset(bytes.NewReader(valid))
+	var seqs []uint32
+	for {
+		h, err := r.NextHeader()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		samples, err := r.ReadPayload(h, nil)
+		if err != nil || len(samples) != h.NSamples {
+			t.Fatalf("record %d after Reset: %d samples, %v", h.Seq, len(samples), err)
+		}
+		seqs = append(seqs, h.Seq)
+	}
+	PutReader(r)
+	if len(seqs) != 2 || seqs[0] != 0 || seqs[1] != 1 {
+		t.Errorf("records after Reset = %v, want [0 1]", seqs)
+	}
+}

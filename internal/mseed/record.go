@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"sync"
 	"time"
 )
 
@@ -151,6 +152,31 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{br: bufio.NewReaderSize(r, 1<<16)}
 }
 
+// Reset makes r iterate the records of src from the start, keeping its
+// 64 KiB read buffer and payload buffer.
+func (r *Reader) Reset(src io.Reader) {
+	r.br.Reset(src)
+	r.err = nil
+}
+
+// readers recycles Readers, so opening a file does not allocate a fresh
+// 64 KiB buffer.
+var readers = sync.Pool{New: func() any { return NewReader(nil) }}
+
+// GetReader returns a pooled Reader over src. Pass it to PutReader once
+// done, on every path.
+func GetReader(src io.Reader) *Reader {
+	r := readers.Get().(*Reader)
+	r.Reset(src)
+	return r
+}
+
+// PutReader returns r to the pool; r must not be used afterwards.
+func PutReader(r *Reader) {
+	r.Reset(nil)
+	readers.Put(r)
+}
+
 // NextHeader reads the next record header, or io.EOF at end of file.
 // After NextHeader the caller must consume the payload with either
 // ReadPayload or SkipPayload before the next call.
@@ -222,7 +248,8 @@ func ScanHeaders(path string) ([]Header, error) {
 		return nil, err
 	}
 	defer f.Close()
-	r := NewReader(f)
+	r := GetReader(f)
+	defer PutReader(r)
 	var out []Header
 	for {
 		h, err := r.NextHeader()

@@ -17,8 +17,10 @@ import (
 	"container/list"
 	"encoding/hex"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"repro/internal/exec"
@@ -26,6 +28,10 @@ import (
 	"repro/internal/storage"
 	"repro/internal/vector"
 )
+
+// spillPattern names the cache's spill files; the cache reads and
+// removes no other file in its directory.
+const spillPattern = "result-*.spill"
 
 // spillEnabled reports whether the disk tier is configured.
 func (c *Cache) spillEnabled() bool { return c.cfg.SpillDir != "" }
@@ -40,7 +46,7 @@ func (c *Cache) diskModel() (storage.DiskModel, *storage.Clock) {
 // broken disk degrades to the spill-off behavior instead of erroring.
 func (c *Cache) demoteLocked(el *list.Element) bool {
 	e := el.Value.(*entry)
-	sf, err := storage.CreateSpillFile(c.cfg.SpillDir, "result-*.spill")
+	sf, err := storage.CreateSpillFile(c.cfg.SpillDir, spillPattern)
 	if err != nil {
 		return false
 	}
@@ -78,13 +84,18 @@ func (c *Cache) demoteLocked(el *list.Element) bool {
 
 // promoteLocked loads a spilled entry (an element of c.diskOrder) back
 // into the resident tier and returns its materialization. A corrupt or
-// missing spill file drops the entry silently — the probe becomes a
-// miss, never an error.
+// missing spill file, or one whose columns are not the entry's schema,
+// drops the entry silently — the probe becomes a miss, never an error.
 func (c *Cache) promoteLocked(el *list.Element) (*exec.Materialized, bool) {
 	e := el.Value.(*entry)
 	model, clock := c.diskModel()
 	r, err := storage.OpenBatchReader(e.path, model, clock)
 	if err != nil {
+		c.removeLocked(el)
+		return nil, false
+	}
+	if !slices.EqualFunc(r.Kinds(), e.schema, func(k vector.Kind, ci plan.ColInfo) bool { return k == ci.Kind }) {
+		r.Close()
 		c.removeLocked(el)
 		return nil, false
 	}
@@ -243,7 +254,7 @@ func (c *Cache) loadManifest() {
 	referenced := make(map[string]bool)
 	for _, me := range m.Entries {
 		fpB, err := hex.DecodeString(me.Fingerprint)
-		if err != nil || len(fpB) != len(plan.Fingerprint{}) || me.Bytes < 0 {
+		if err != nil || len(fpB) != len(plan.Fingerprint{}) || me.Bytes < 0 || me.Bytes > math.MaxInt64-c.diskBytes {
 			continue
 		}
 		var f plan.Fingerprint
@@ -251,7 +262,11 @@ func (c *Cache) loadManifest() {
 		if _, dup := c.entries[f]; dup {
 			continue
 		}
-		path := filepath.Join(c.cfg.SpillDir, filepath.Base(me.File))
+		name := filepath.Base(me.File)
+		if ok, _ := filepath.Match(spillPattern, name); !ok {
+			continue
+		}
+		path := filepath.Join(c.cfg.SpillDir, name)
 		if fi, err := os.Stat(path); err != nil || fi.IsDir() {
 			continue
 		}
@@ -310,7 +325,7 @@ func (c *Cache) sweepSpillDir(keep map[string]bool) {
 		if de.IsDir() || keep[name] {
 			continue
 		}
-		if ok, _ := filepath.Match("result-*.spill", name); ok {
+		if ok, _ := filepath.Match(spillPattern, name); ok {
 			os.Remove(filepath.Join(c.cfg.SpillDir, name))
 		}
 	}

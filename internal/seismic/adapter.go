@@ -166,7 +166,8 @@ func (a *Adapter) MountStream(path, uri string, keep func(catalog.RecordMeta) bo
 		return fmt.Errorf("seismic: mount %s: %w", uri, err)
 	}
 	defer f.Close()
-	r := mseed.NewReader(f)
+	r := mseed.GetReader(f)
+	defer mseed.PutReader(r)
 	var samples []int32 // decode buffer, dead once copied into a batch
 	for {
 		h, err := r.NextHeader()

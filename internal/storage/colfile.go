@@ -70,9 +70,9 @@ func encodeValue(dst []byte, val vector.Value) []byte {
 	}
 }
 
-// decodeVector decodes n values of kind k from raw into a fresh vector.
-// For VARCHAR, raw holds codes and dict translates them to strings.
-func decodeVector(k vector.Kind, raw []byte, n int, dict *Dict) *vector.Vector {
+// decodeVector decodes n values of fixed kind k from raw into a fresh
+// vector.
+func decodeVector(k vector.Kind, raw []byte, n int) *vector.Vector {
 	switch k {
 	case vector.KindBool:
 		out := make([]bool, n)
@@ -95,14 +95,22 @@ func decodeVector(k vector.Kind, raw []byte, n int, dict *Dict) *vector.Vector {
 			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
 		}
 		return vector.FromFloat64(out)
-	case vector.KindString:
-		out := make([]string, n)
-		for i := 0; i < n; i++ {
-			code := int64(binary.LittleEndian.Uint64(raw[i*8:]))
-			out[i] = dict.Lookup(code)
-		}
-		return vector.FromString(out)
 	default:
 		panic("storage: decodeVector on unsupported kind " + k.String())
 	}
+}
+
+// decodePage decodes the whole values of one column-file page. A VARCHAR
+// page's codes resolve through dict under one read lock; a code the
+// dictionary lacks is an error.
+func decodePage(k vector.Kind, raw []byte, dict *Dict) (*vector.Vector, error) {
+	n := len(raw) / diskWidth(k)
+	if k != vector.KindString {
+		return decodeVector(k, raw, n), nil
+	}
+	ss, err := dict.Resolve(decodeVector(vector.KindInt64, raw, n).Int64s())
+	if err != nil {
+		return nil, err
+	}
+	return vector.FromString(ss), nil
 }

@@ -48,15 +48,21 @@ func (d *Dict) CodeIfPresent(s string) (int64, bool) {
 	return c, ok
 }
 
-// Lookup returns the string for a code; it panics on out-of-range codes,
-// which indicate storage corruption.
-func (d *Dict) Lookup(code int64) string {
+// Resolve returns the strings of codes, taking the read lock once. A
+// code outside the dictionary is an error, not a panic: a crash between
+// flushing a column file and saving its dictionary leaves such codes on
+// disk.
+func (d *Dict) Resolve(codes []int64) ([]string, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	if code < 0 || code >= int64(len(d.vals)) {
-		panic(fmt.Sprintf("storage: dictionary code %d out of range (%d entries)", code, len(d.vals)))
+	out := make([]string, len(codes))
+	for i, c := range codes {
+		if c < 0 || c >= int64(len(d.vals)) {
+			return nil, fmt.Errorf("dictionary code %d out of range (%d entries)", c, len(d.vals))
+		}
+		out[i] = d.vals[c]
 	}
-	return d.vals[code]
+	return out, nil
 }
 
 // Len returns the number of distinct strings.

@@ -6,6 +6,9 @@ import (
 	"io"
 	"os"
 	"sync"
+	"sync/atomic"
+
+	"repro/internal/vector"
 )
 
 // pageKey identifies a cached page: a file path plus a page index.
@@ -29,6 +32,13 @@ type PoolStats struct {
 // its DiskModel; a "cold" run starts from an empty pool, a "hot" run from
 // a pre-warmed one — exactly the cold/hot protocol of the paper's
 // Figure 3.
+//
+// A frame of a column file also keeps the page decoded (ReadChunk), so
+// each page is decoded at most once while it stays resident. Capacity
+// is still counted in pages, but a resident column page costs its bytes
+// plus a chunk of the same size for fixed-width kinds, or twice the size
+// for VARCHAR (16-byte string headers over the 8-byte codes). Index
+// files and Touch read bytes only.
 type BufferPool struct {
 	mu       sync.Mutex
 	model    DiskModel
@@ -41,8 +51,9 @@ type BufferPool struct {
 }
 
 type poolEntry struct {
-	key  pageKey
-	data []byte
+	key   pageKey
+	data  []byte
+	chunk atomic.Pointer[vector.Vector] // data decoded and frozen; nil until ReadChunk
 }
 
 // NewBufferPool returns a pool holding at most capPages pages. The clock
@@ -115,10 +126,11 @@ func (p *BufferPool) ReadAt(path string, f *os.File, buf []byte, off int64) erro
 		if rem := n - done; rem < want {
 			want = rem
 		}
-		data, err := p.getPage(path, f, page)
+		e, err := p.getPage(path, f, page)
 		if err != nil {
 			return err
 		}
+		data := e.data
 		if int64(len(data)) < inPage {
 			return fmt.Errorf("storage: short page %d of %s: have %d bytes, need offset %d",
 				page, path, len(data), inPage)
@@ -136,15 +148,41 @@ func (p *BufferPool) ReadAt(path string, f *os.File, buf []byte, off int64) erro
 	return nil
 }
 
-func (p *BufferPool) getPage(path string, f *os.File, page int64) ([]byte, error) {
+// ReadChunk returns page of path decoded by decode and frozen, going
+// through the same hit, miss, seek and LRU accounting as ReadAt. The
+// first read of a resident page decodes it; later reads get the same
+// frozen chunk until the page leaves the pool (Flush, Invalidate or
+// eviction drop the chunk with the page). Callers hand out Slice/Share
+// handles of it, never the chunk itself. decode runs outside the pool's
+// lock; when two readers decode the same page at once, the first chunk
+// stored wins.
+func (p *BufferPool) ReadChunk(path string, f *os.File, page int64, decode func([]byte) (*vector.Vector, error)) (*vector.Vector, error) {
+	e, err := p.getPage(path, f, page)
+	if err != nil {
+		return nil, err
+	}
+	if c := e.chunk.Load(); c != nil {
+		return c, nil
+	}
+	c, err := decode(e.data)
+	if err != nil {
+		return nil, err
+	}
+	c.Freeze()
+	if !e.chunk.CompareAndSwap(nil, c) {
+		c = e.chunk.Load()
+	}
+	return c, nil
+}
+
+func (p *BufferPool) getPage(path string, f *os.File, page int64) (*poolEntry, error) {
 	key := pageKey{path, page}
 	p.mu.Lock()
 	if el, ok := p.pages[key]; ok {
 		p.lru.MoveToFront(el)
 		p.stats.Hits++
-		data := el.Value.(*poolEntry).data
 		p.mu.Unlock()
-		return data, nil
+		return el.Value.(*poolEntry), nil
 	}
 	sequential := p.lastPage[path] == page-1
 	p.lastPage[path] = page
@@ -160,26 +198,23 @@ func (p *BufferPool) getPage(path string, f *os.File, page int64) ([]byte, error
 	if err != nil && err != io.EOF {
 		return nil, fmt.Errorf("storage: read page %d of %s: %w", page, path, err)
 	}
-	data = data[:n]
 	p.model.ChargeRead(p.clock, 1, sequential)
 
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if el, ok := p.pages[key]; ok { // raced with another reader
 		p.lru.MoveToFront(el)
-		data = el.Value.(*poolEntry).data
-		p.mu.Unlock()
-		return data, nil
+		return el.Value.(*poolEntry), nil
 	}
-	el := p.lru.PushFront(&poolEntry{key: key, data: data})
-	p.pages[key] = el
+	e := &poolEntry{key: key, data: data[:n]}
+	p.pages[key] = p.lru.PushFront(e)
 	for p.lru.Len() > p.capacity {
 		oldest := p.lru.Back()
 		p.lru.Remove(oldest)
 		delete(p.pages, oldest.Value.(*poolEntry).key)
 		p.stats.Evictions++
 	}
-	p.mu.Unlock()
-	return data, nil
+	return e, nil
 }
 
 // Touch pulls the first size bytes of the file through the page cache

@@ -481,7 +481,7 @@ func (r *BatchReader) decodeFrame(p []byte) (*vector.Batch, error) {
 			}
 			cols[i] = vector.FromString(out)
 		default:
-			cols[i] = decodeVector(k, raw, rows, nil)
+			cols[i] = decodeVector(k, raw, rows)
 		}
 	}
 	if len(p) != 0 {

@@ -337,8 +337,11 @@ func TestDictRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d2.Len() != 2 || d2.Lookup(1) != "b" {
+	if got, err := d2.Resolve([]int64{1}); d2.Len() != 2 || err != nil || got[0] != "b" {
 		t.Error("dict lost data across save/load")
+	}
+	if _, err := d2.Resolve([]int64{0, 2}); err == nil {
+		t.Error("Resolve accepted a code past the dictionary")
 	}
 }
 
@@ -349,8 +352,12 @@ func TestDictRoundTripProperty(t *testing.T) {
 		for i, s := range ss {
 			codes[i] = d.Code(s)
 		}
+		got, err := d.Resolve(codes)
+		if err != nil {
+			return false
+		}
 		for i, s := range ss {
-			if d.Lookup(codes[i]) != s {
+			if got[i] != s {
 				return false
 			}
 		}

@@ -120,8 +120,11 @@ func (t *Table) dropHandle(path string) {
 	}
 }
 
-// ReadColumn reads rows [from, to) of column col into a vector, going
-// through the buffer pool.
+// ReadColumn reads rows [from, to) of column col through the buffer
+// pool. Each page is decoded at most once while it stays resident; the
+// result is a frozen copy-on-write share of that decoded chunk when the
+// range lies in one page (the first write through it copies), else a
+// fresh concatenation of the per-page shares.
 func (t *Table) ReadColumn(col int, from, to int64) (*vector.Vector, error) {
 	t.mu.RLock()
 	kind := t.cols[col].Kind
@@ -132,27 +135,52 @@ func (t *Table) ReadColumn(col int, from, to int64) (*vector.Vector, error) {
 		return nil, fmt.Errorf("storage: read rows [%d,%d) of %s.%s with %d rows",
 			from, to, t.name, t.cols[col].Name, rows)
 	}
-	n := int(to - from)
-	if n == 0 {
+	if from == to {
 		return vector.New(kind, 0), nil
 	}
-	w := diskWidth(kind)
 	path := t.colPath(col)
 	f, err := t.handle(path)
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, n*w)
-	if err := t.store.pool.ReadAt(path, f, buf, from*int64(w)); err != nil {
-		return nil, fmt.Errorf("storage: read %s.%s: %w", t.name, t.cols[col].Name, err)
+	decode := func(raw []byte) (*vector.Vector, error) { return decodePage(kind, raw, dict) }
+	// A page holds a whole number of values: PageSize is a multiple of
+	// every width.
+	per := PageSize / int64(diskWidth(kind))
+	var one [1]*vector.Vector // a one-page read, the common case, allocates no slice
+	parts := one[:0]
+	for page := from / per; page*per < to; page++ {
+		chunk, err := t.store.pool.ReadChunk(path, f, page, decode)
+		if err != nil {
+			return nil, fmt.Errorf("storage: read %s.%s: %w", t.name, t.cols[col].Name, err)
+		}
+		base := page * per
+		lo, hi := max(from, base)-base, min(to, base+per)-base
+		if hi > int64(chunk.Len()) {
+			return nil, fmt.Errorf("storage: read %s.%s: page %d holds %d values, need %d",
+				t.name, t.cols[col].Name, page, chunk.Len(), hi)
+		}
+		parts = append(parts, chunk.Slice(int(lo), int(hi)))
 	}
-	return decodeVector(kind, buf, n, dict), nil
+	return concat(parts), nil
 }
 
-// ReadBatch reads rows [from, to) of the given columns. The returned
-// batch is freshly decoded, exclusively owned storage: post-ingestion
-// tables are frozen on disk, and every reader gets its own copy to
-// mutate freely.
+// concat returns parts (at least one, of one kind) as one vector: the
+// part itself when there is one, else a fresh vector.Concat of them.
+func concat(parts []*vector.Vector) *vector.Vector {
+	if len(parts) == 1 {
+		return parts[0]
+	}
+	bs := make([]*vector.Batch, len(parts))
+	for i, p := range parts {
+		bs[i] = vector.NewBatch(p)
+	}
+	return vector.Concat(bs).Cols[0]
+}
+
+// ReadBatch reads rows [from, to) of the given columns. Its columns are
+// frozen shares of the pool's decoded pages (see ReadColumn): readers may
+// mutate them, and the first write copies.
 func (t *Table) ReadBatch(cols []int, from, to int64) (*vector.Batch, error) {
 	out := make([]*vector.Vector, len(cols))
 	for i, c := range cols {
@@ -166,30 +194,35 @@ func (t *Table) ReadBatch(cols []int, from, to int64) (*vector.Batch, error) {
 }
 
 // ReadRowsAt gathers the values of the given columns at arbitrary row
-// positions (point access, as an index lookup would do). Each distinct
-// page touched is paid for via the buffer pool.
+// positions (point access, as an index lookup would do). Column by
+// column, it reads each maximal run of consecutive row IDs as one
+// ReadColumn range, so every column file sees the page sequence a
+// row-at-a-time read would, and concatenates the runs when there is more
+// than one.
 func (t *Table) ReadRowsAt(cols []int, rowIDs []int64) (*vector.Batch, error) {
+	var runs [][2]int64
+	for lo := 0; lo < len(rowIDs); {
+		hi := lo + 1
+		for hi < len(rowIDs) && rowIDs[hi] == rowIDs[hi-1]+1 {
+			hi++
+		}
+		runs = append(runs, [2]int64{rowIDs[lo], rowIDs[hi-1] + 1})
+		lo = hi
+	}
+	if len(runs) == 0 {
+		runs = append(runs, [2]int64{0, 0}) // no rows still yields typed, empty columns
+	}
 	out := make([]*vector.Vector, len(cols))
+	parts := make([]*vector.Vector, len(runs))
 	for i, c := range cols {
-		t.mu.RLock()
-		kind := t.cols[c].Kind
-		dict := t.dicts[c]
-		t.mu.RUnlock()
-		w := diskWidth(kind)
-		path := t.colPath(c)
-		f, err := t.handle(path)
-		if err != nil {
-			return nil, err
-		}
-		raw := make([]byte, len(rowIDs)*w)
-		one := make([]byte, w)
-		for j, r := range rowIDs {
-			if err := t.store.pool.ReadAt(path, f, one, r*int64(w)); err != nil {
-				return nil, fmt.Errorf("storage: point read %s.%s row %d: %w", t.name, t.cols[c].Name, r, err)
+		for j, r := range runs {
+			v, err := t.ReadColumn(c, r[0], r[1])
+			if err != nil {
+				return nil, err
 			}
-			copy(raw[j*w:], one)
+			parts[j] = v
 		}
-		out[i] = decodeVector(kind, raw, len(rowIDs), dict)
+		out[i] = concat(parts)
 	}
 	return vector.NewBatch(out...), nil
 }
