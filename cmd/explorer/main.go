@@ -57,7 +57,7 @@ import (
 
 // sessionName identifies this shell to the engine's admission gate and
 // result cache: with several explorers sharing one engine (or one
-// database server embedding it), quotas and \stats break down per name.
+// database server embedding it), \stats breaks down per name.
 var sessionName string
 
 func main() {
@@ -69,7 +69,7 @@ func main() {
 		budget   = flag.Duration("budget", 0, "abort queries whose estimated cost exceeds this (0 = off)")
 		rcacheMB = flag.Int64("resultcache", 0, "result-cache budget in MiB (0 = off, -1 = unlimited)")
 		subsume  = flag.Bool("subsume", false, "answer narrower queries by re-filtering wider cached results (requires -resultcache)")
-		sessFlag = flag.String("session", "explorer", "session identity for admission quotas and per-session stats")
+		sessFlag = flag.String("session", "explorer", "session identity for per-session admission and result-cache stats")
 		nostats  = flag.Bool("nostats", false, "disable statistics-free Stage-2 planning (pruning, build sides, honest admission)")
 		spillDir = flag.String("spilldir", "", "directory for out-of-core spill files and the persistent result cache")
 		spillMB  = flag.Int64("spillthreshold", 0, "spill a flight's replay buffer past this many MiB (requires -spilldir)")
@@ -194,9 +194,9 @@ func printEngineStats(eng *core.Engine) {
 		cs.Entries, unit.FormatBytes(cs.BytesResident), cs.Hits, cs.Misses, cs.Evictions)
 	if rc := eng.ResultCache(); rc != nil {
 		rs := rc.Stats()
-		fmt.Printf("result cache: %d entries (%s), %d hits, %d riders, %d misses; %d stores, %d rejected, %d evictions (%d self); epoch %d (%d invalidated)\n",
+		fmt.Printf("result cache: %d entries (%s), %d hits, %d riders, %d misses; %d stores, %d rejected, %d evictions; epoch %d (%d invalidated)\n",
 			rs.Entries, unit.FormatBytes(rs.BytesResident), rs.Hits, rs.Riders, rs.Misses,
-			rs.Stores, rs.RejectedStores, rs.Evictions, rs.SelfEvictions, rs.Epoch, rs.Invalidations)
+			rs.Stores, rs.RejectedStores, rs.Evictions, rs.Epoch, rs.Invalidations)
 		fmt.Printf("  subsumption: %d probes, %d hits, %s re-execution avoided, %v re-filtering\n",
 			rs.SubsumptionProbes, rs.SubsumptionHits,
 			unit.FormatBytes(rs.SubsumptionBytesSaved), rs.RefilterWall.Round(time.Microsecond))
@@ -226,10 +226,10 @@ func printPerSession(label string, per map[string]admission.SessionStats) {
 		if display == "" {
 			display = "(anonymous)"
 		}
-		fmt.Printf("%s %s: held %s (peak %s), %d acquires, %d waits (total %v, max %v), %d cancelled, %d quota-blocked\n",
+		fmt.Printf("%s %s: held %s (peak %s), %d acquires, %d waits (total %v, max %v), %d cancelled\n",
 			label, display, unit.FormatBytes(s.HeldBytes), unit.FormatBytes(s.PeakHeldBytes),
 			s.Acquires, s.Waits, s.WaitTotal.Round(time.Microsecond), s.WaitMax.Round(time.Microsecond),
-			s.Cancelled, s.QuotaBlocked)
+			s.Cancelled)
 	}
 }
 

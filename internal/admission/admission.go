@@ -1,5 +1,5 @@
-// Package admission is the engine's shared fairness-aware byte-budget
-// gate: the one admission abstraction behind both the mount service's
+// Package admission is the engine's shared FIFO byte-budget gate: the
+// one admission abstraction behind both the mount service's
 // in-flight extraction budget and the result cache's resident-bytes
 // budget. It replaces the hand-rolled condition-variable gates those
 // layers used to carry, which had two load-bearing bugs:
@@ -15,21 +15,17 @@
 //     request never passes an earlier one that is still blocked on the
 //     byte budget.
 //
-// On top of the budget the gate enforces per-session quotas (an absolute
-// byte cap, a fractional max share of the budget, or both): a session at
-// its quota blocks only itself — its tickets are passed over in the
-// admission scan, never the tickets queued behind them — so one greedy
-// dashboard cannot hold the whole budget while interactive explorers
-// wait.
+// Sessions are an accounting identity, not a policy: the gate counts
+// each session's held bytes, waits and cancellations, and admits every
+// session's tickets in the same one queue.
 //
 // Two usage modes share the same accounting:
 //
 //   - Blocking: Acquire/Release, used by the mount service, where
 //     admission backpressures extraction.
 //   - Charging: Charge/Release, used by the result cache, where entries
-//     are always accepted and the budget instead drives eviction;
-//     OverShare tells the evictor whether a session's resident bytes
-//     exceed its quota, so a fat session's entries are evicted first.
+//     are always accepted and are charged to the session that stored
+//     them.
 package admission
 
 import (
@@ -47,15 +43,6 @@ type Config struct {
 	// nothing else is held, so it can never deadlock but may exceed the
 	// budget alone.
 	BudgetBytes int64
-	// SessionQuotaBytes caps the bytes one session may hold at once;
-	// <= 0 means no absolute cap. A single request larger than the quota
-	// is admitted when the session holds nothing, mirroring the
-	// oversized-budget rule.
-	SessionQuotaBytes int64
-	// MaxSessionShare caps one session's holdings as a fraction of
-	// BudgetBytes (0 < share <= 1); <= 0 means no share cap. When both
-	// this and SessionQuotaBytes are set, the smaller cap wins.
-	MaxSessionShare float64
 }
 
 // SessionStats is one session's view of the gate.
@@ -70,9 +57,6 @@ type SessionStats struct {
 	Waits    int64
 	// Cancelled counts waits abandoned via context cancellation.
 	Cancelled int64
-	// QuotaBlocked counts tickets passed over in the admission scan
-	// because this session was at its quota (each ticket counted once).
-	QuotaBlocked int64
 	// WaitTotal / WaitMax aggregate time spent blocked in Acquire.
 	WaitTotal time.Duration
 	WaitMax   time.Duration
@@ -92,17 +76,15 @@ type Stats struct {
 	// StarvationAvoided counts admission scans in which a later, smaller
 	// request was held back behind a budget-blocked queue head — the
 	// wakeup races a Broadcast-driven gate would have lost, starving the
-	// head — plus admissions granted past an earlier quota-blocked
-	// ticket (the quota protecting everyone else from that session).
+	// head.
 	StarvationAvoided int64
 	// PerSession maps session identity to its counters.
 	PerSession map[string]SessionStats
 }
 
-// Gate is the fairness-aware budget gate. It is safe for concurrent use.
+// Gate is the FIFO budget gate. It is safe for concurrent use.
 type Gate struct {
-	cfg   Config
-	quota int64 // effective per-session cap; 0 = none
+	cfg Config
 
 	mu       sync.Mutex
 	used     int64
@@ -115,10 +97,7 @@ type Gate struct {
 	avoided   int64
 }
 
-type sessionState struct {
-	name string
-	SessionStats
-}
+type sessionState struct{ SessionStats }
 
 // ticket is one blocked Acquire.
 type ticket struct {
@@ -126,29 +105,17 @@ type ticket struct {
 	n       int64
 	ready   chan struct{} // closed under mu when granted
 	granted bool
-	skipped bool // counted in QuotaBlocked already
 }
 
 // New returns a gate over the configuration.
 func New(cfg Config) *Gate {
-	g := &Gate{cfg: cfg, sessions: make(map[string]*sessionState)}
-	g.quota = cfg.SessionQuotaBytes
-	if cfg.MaxSessionShare > 0 && cfg.BudgetBytes > 0 {
-		byShare := int64(cfg.MaxSessionShare * float64(cfg.BudgetBytes))
-		if byShare < 1 {
-			byShare = 1
-		}
-		if g.quota <= 0 || byShare < g.quota {
-			g.quota = byShare
-		}
-	}
-	return g
+	return &Gate{cfg: cfg, sessions: make(map[string]*sessionState)}
 }
 
 func (g *Gate) session(name string) *sessionState {
 	s, ok := g.sessions[name]
 	if !ok {
-		s = &sessionState{name: name}
+		s = &sessionState{}
 		g.sessions[name] = s
 	}
 	return s
@@ -158,12 +125,6 @@ func (g *Gate) session(name string) *sessionState {
 // oversized request fits only an empty gate (admitted alone).
 func (g *Gate) fitsBudget(n int64) bool {
 	return g.cfg.BudgetBytes <= 0 || g.used == 0 || g.used+n <= g.cfg.BudgetBytes
-}
-
-// fitsQuota reports whether n more bytes fit the session's quota. A
-// request larger than the quota fits only a session holding nothing.
-func (g *Gate) fitsQuota(s *sessionState, n int64) bool {
-	return g.quota <= 0 || s.HeldBytes == 0 || s.HeldBytes+n <= g.quota
 }
 
 // grantLocked admits n bytes to the session; callers hold mu.
@@ -179,54 +140,29 @@ func (g *Gate) grantLocked(s *sessionState, n int64) {
 	s.Acquires++
 }
 
-// admitLocked is the handoff scan: walk the queue front to back,
-// admitting tickets in order. A ticket that does not fit the BUDGET
-// stops the scan — strict FIFO on the shared resource is what closes
-// the starvation window — while a ticket blocked only by its own
-// session's QUOTA is passed over (it blocks only itself) and the scan
-// continues behind it. Callers hold mu.
+// admitLocked is the handoff scan: admit tickets from the queue head
+// while they fit the budget. The first ticket that does not fit stops
+// the scan — strict FIFO on the shared resource is what closes the
+// starvation window. Callers hold mu.
 func (g *Gate) admitLocked() {
-	passedQuotaBlock := false
-	for i := 0; i < len(g.queue); {
-		t := g.queue[i]
-		// The quota check comes FIRST: a ticket its own session has
-		// quota-blocked is skipped even when it is also over the budget
-		// — only the session's own releases can ever make it
-		// admissible, so treating it as a strict-FIFO budget head would
-		// stall every session queued behind it on a wait no one else
-		// can shorten (the cross-session starvation quotas exist to
-		// prevent).
-		if !g.fitsQuota(t.sess, t.n) {
-			if !t.skipped {
-				t.skipped = true
-				t.sess.QuotaBlocked++
-			}
-			passedQuotaBlock = true
-			i++
-			continue
-		}
+	for len(g.queue) > 0 {
+		t := g.queue[0]
 		if !g.fitsBudget(t.n) {
-			// Strict FIFO: nothing behind this ticket may be admitted.
-			// Count the scan as starvation-avoided when a later ticket
-			// would have fit — the admission a Broadcast gate would have
-			// raced past the head.
-			for _, later := range g.queue[i+1:] {
-				if g.fitsBudget(later.n) && g.fitsQuota(later.sess, later.n) {
+			// Nothing behind the head may be admitted. Count the scan as
+			// starvation-avoided when a later ticket would have fit — the
+			// admission a Broadcast gate would have raced past the head.
+			for _, later := range g.queue[1:] {
+				if g.fitsBudget(later.n) {
 					g.avoided++
 					break
 				}
 			}
 			return
 		}
-		g.queue = append(g.queue[:i], g.queue[i+1:]...)
+		g.queue = append(g.queue[:0], g.queue[1:]...)
 		g.grantLocked(t.sess, t.n)
 		t.granted = true
 		close(t.ready)
-		if passedQuotaBlock {
-			// Admitted past a quota-blocked earlier ticket: the quota
-			// kept that session from starving this one.
-			g.avoided++
-		}
 	}
 }
 
@@ -252,10 +188,10 @@ func (g *Gate) Acquire(ctx context.Context, session string, n int64) error {
 		g.mu.Unlock()
 		return err
 	}
-	// Fast path: nothing queued ahead and both limits fit. With a
+	// Fast path: nothing queued ahead and the budget fits. With a
 	// non-empty queue even a fitting request must enqueue — jumping the
 	// line is exactly the race this gate exists to close.
-	if len(g.queue) == 0 && g.fitsBudget(n) && g.fitsQuota(s, n) {
+	if len(g.queue) == 0 && g.fitsBudget(n) {
 		g.grantLocked(s, n)
 		g.mu.Unlock()
 		return nil
@@ -265,8 +201,10 @@ func (g *Gate) Acquire(ctx context.Context, session string, n int64) error {
 	g.waits++
 	s.Waits++
 	start := time.Now()
-	// The new ticket may be admissible right away (e.g. every earlier
-	// ticket is quota-blocked).
+	// The head is budget-blocked (or this ticket is the head and does
+	// not fit), so this scan admits nothing. It runs for its count: when
+	// the new ticket would fit behind a blocked head, that is a
+	// leapfrog held back, counted in StarvationAvoided.
 	g.admitLocked()
 	g.mu.Unlock()
 
@@ -278,13 +216,12 @@ func (g *Gate) Acquire(ctx context.Context, session string, n int64) error {
 	}
 	g.mu.Lock()
 	if t.granted {
-		// The grant raced the cancellation: give it back (which may
-		// admit the next ticket) and report the cancel — the caller
-		// must be able to trust that an error means nothing is held.
+		// The grant raced the cancellation: give it back and report the
+		// cancel — the caller must be able to trust that an error means
+		// nothing is held.
 		g.used -= n
 		s.HeldBytes -= n
 		s.Acquires--
-		g.admitLocked()
 	} else {
 		for i, q := range g.queue {
 			if q == t {
@@ -292,18 +229,14 @@ func (g *Gate) Acquire(ctx context.Context, session string, n int64) error {
 				break
 			}
 		}
-		// Removing a budget-blocked head may unblock the tickets that
-		// were queued behind it.
-		g.admitLocked()
 	}
+	// A returned grant, or a removed budget-blocked head, may admit the
+	// tickets queued behind it.
+	g.admitLocked()
 	g.cancelled++
 	s.Cancelled++
-	d := time.Since(start)
-	s.WaitTotal += d
-	if d > s.WaitMax {
-		s.WaitMax = d
-	}
 	g.mu.Unlock()
+	g.noteWait(s, time.Since(start))
 	return ctx.Err()
 }
 
@@ -319,7 +252,7 @@ func (g *Gate) noteWait(s *sessionState, d time.Duration) {
 // Charge admits n bytes to the session unconditionally, never blocking
 // and never queueing — the accounting mode for callers (the result
 // cache) that accept first and evict to get back under budget. The
-// charge still counts toward the session's quota, steering OverShare.
+// charge counts toward the session's held bytes in Stats.
 func (g *Gate) Charge(session string, n int64) {
 	if n < 0 {
 		n = 0
@@ -349,40 +282,6 @@ func (g *Gate) Release(session string, n int64) {
 	g.admitLocked()
 	g.mu.Unlock()
 }
-
-// Used returns the total bytes currently held.
-func (g *Gate) Used() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.used
-}
-
-// SessionHeld returns the bytes currently held by one session.
-func (g *Gate) SessionHeld(session string) int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if s, ok := g.sessions[session]; ok {
-		return s.HeldBytes
-	}
-	return 0
-}
-
-// OverShare reports whether the session's holdings exceed its quota —
-// the evictor's signal to take that session's entries first.
-func (g *Gate) OverShare(session string) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.quota <= 0 {
-		return false
-	}
-	if s, ok := g.sessions[session]; ok {
-		return s.HeldBytes > g.quota
-	}
-	return false
-}
-
-// Quota returns the effective per-session byte cap (0 = none).
-func (g *Gate) Quota() int64 { return g.quota }
 
 // Stats returns a snapshot of the gate, including every session seen.
 func (g *Gate) Stats() Stats {

@@ -47,7 +47,7 @@ func TestAcquireReleaseAccounting(t *testing.T) {
 	if err := g.Acquire(context.Background(), "b", 40); err != nil {
 		t.Fatal(err)
 	}
-	if got := g.Used(); got != 100 {
+	if got := g.Stats().UsedBytes; got != 100 {
 		t.Errorf("used = %d, want 100", got)
 	}
 	g.Release("a", 60)
@@ -155,7 +155,7 @@ func TestFIFONoLeapfrog(t *testing.T) {
 			t.Fatalf("small %d: %v", i, err)
 		}
 	}
-	if got := g.Used(); got != 75 {
+	if got := g.Stats().UsedBytes; got != 75 {
 		t.Errorf("used = %d, want 75", got)
 	}
 }
@@ -171,84 +171,10 @@ func TestOversizedRequestAdmittedAlone(t *testing.T) {
 	if err := mustDone(t, done); err != nil {
 		t.Fatal(err)
 	}
-	if got := g.Used(); got != 500 {
+	if got := g.Stats().UsedBytes; got != 500 {
 		t.Errorf("used = %d, want the oversized request alone", got)
 	}
 	g.Release("big", 500)
-}
-
-// TestQuotaBlocksOnlyItself: a session at its quota is passed over in
-// the admission scan; sessions queued behind it are admitted.
-func TestQuotaBlocksOnlyItself(t *testing.T) {
-	g := New(Config{BudgetBytes: 100, SessionQuotaBytes: 40})
-	if err := g.Acquire(context.Background(), "greedy", 40); err != nil {
-		t.Fatal(err)
-	}
-	greedyMore := acquireAsync(g, context.Background(), "greedy", 20)
-	waitQueueDepth(t, g, 1)
-	// Other queued BEHIND the quota-blocked greedy ticket still flows.
-	if err := g.Acquire(context.Background(), "other", 30); err != nil {
-		t.Fatalf("other blocked behind a quota-blocked ticket: %v", err)
-	}
-	select {
-	case <-greedyMore:
-		t.Fatal("greedy exceeded its quota")
-	default:
-	}
-	st := g.Stats()
-	if st.PerSession["greedy"].QuotaBlocked == 0 {
-		t.Error("greedy QuotaBlocked = 0, want > 0")
-	}
-	if st.StarvationAvoided == 0 {
-		t.Error("StarvationAvoided = 0, want > 0 (other admitted past greedy)")
-	}
-	// Only greedy's own release unblocks greedy.
-	g.Release("greedy", 40)
-	if err := mustDone(t, greedyMore); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestQuotaAndBudgetBlockedHeadDoesNotStallQueue: a head ticket blocked
-// by BOTH its quota and the budget is still a quota block — only its
-// own session's releases can ever admit it, so it must be skipped, not
-// treated as a strict-FIFO budget head that stalls everyone behind it.
-func TestQuotaAndBudgetBlockedHeadDoesNotStallQueue(t *testing.T) {
-	g := New(Config{BudgetBytes: 1000, SessionQuotaBytes: 400})
-	if err := g.Acquire(context.Background(), "greedy", 400); err != nil {
-		t.Fatal(err)
-	}
-	// 400 held + 700 exceeds the budget too: both limits block it.
-	greedyBig := acquireAsync(g, context.Background(), "greedy", 700)
-	waitQueueDepth(t, g, 1)
-	other := acquireAsync(g, context.Background(), "other", 300)
-	if err := mustDone(t, other); err != nil {
-		t.Fatalf("other stalled behind a quota-blocked head: %v", err)
-	}
-	select {
-	case <-greedyBig:
-		t.Fatal("greedy admitted over its quota")
-	default:
-	}
-	// Greedy's own release frees its quota (oversized-for-quota alone)
-	// and 300+700 fits the budget.
-	g.Release("greedy", 400)
-	if err := mustDone(t, greedyBig); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMaxShareDerivesQuota(t *testing.T) {
-	g := New(Config{BudgetBytes: 100, MaxSessionShare: 0.5})
-	if got := g.Quota(); got != 50 {
-		t.Fatalf("effective quota = %d, want 50", got)
-	}
-	// A request larger than the quota is admitted when the session holds
-	// nothing (no self-deadlock).
-	if err := g.Acquire(context.Background(), "s", 80); err != nil {
-		t.Fatal(err)
-	}
-	g.Release("s", 80)
 }
 
 func TestDoubleReleasePanics(t *testing.T) {
@@ -268,17 +194,18 @@ func TestDoubleReleasePanics(t *testing.T) {
 // TestRandomizedMultiSessionDifferential runs random acquire/release
 // traffic across sessions against a reference model of the gate's
 // invariants, under -race: the budget is never exceeded (every request
-// fits the budget, so the oversized-alone escape never applies), no
-// session exceeds its quota, and everything drains to zero.
+// fits the budget, so the oversized-alone escape never applies),
+// everything drains to zero, and each session's held bytes and the
+// acquire count match the model.
 func TestRandomizedMultiSessionDifferential(t *testing.T) {
 	const (
 		budget   = 1000
-		quota    = 400
+		maxReq   = 400
 		sessions = 4
 		workers  = 3
 		rounds   = 60
 	)
-	g := New(Config{BudgetBytes: budget, SessionQuotaBytes: quota})
+	g := New(Config{BudgetBytes: budget})
 
 	// model tracks what the test itself granted, independently of the
 	// gate's internal accounting.
@@ -302,12 +229,6 @@ func TestRandomizedMultiSessionDifferential(t *testing.T) {
 				violations <- "budget exceeded"
 				return
 			}
-			for name, s := range st.PerSession {
-				if s.HeldBytes > quota {
-					violations <- "quota exceeded by " + name
-					return
-				}
-			}
 			time.Sleep(100 * time.Microsecond)
 		}
 	}()
@@ -321,7 +242,7 @@ func TestRandomizedMultiSessionDifferential(t *testing.T) {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(seed))
 				for i := 0; i < rounds; i++ {
-					n := 1 + rng.Int63n(quota) // always fits budget and quota alone
+					n := 1 + rng.Int63n(maxReq) // always fits the budget alone
 					if err := g.Acquire(context.Background(), name, n); err != nil {
 						violations <- "acquire error: " + err.Error()
 						return
@@ -382,7 +303,7 @@ func TestAcquireGrantRacingCancel(t *testing.T) {
 		cancel()                   // ...while this cancels it
 		if err := mustDone(t, done); err != nil {
 			// Cancel won: nothing held by racer.
-			if got := g.SessionHeld("racer"); got != 0 {
+			if got := g.Stats().PerSession["racer"].HeldBytes; got != 0 {
 				t.Fatalf("iteration %d: cancelled racer holds %d", i, got)
 			}
 		} else {
@@ -390,9 +311,9 @@ func TestAcquireGrantRacingCancel(t *testing.T) {
 		}
 		// Either way the gate must be empty again.
 		deadline := time.Now().Add(5 * time.Second)
-		for g.Used() != 0 {
+		for g.Stats().UsedBytes != 0 {
 			if time.Now().After(deadline) {
-				t.Fatalf("iteration %d: gate never drained (used %d)", i, g.Used())
+				t.Fatalf("iteration %d: gate never drained (used %d)", i, g.Stats().UsedBytes)
 			}
 			time.Sleep(50 * time.Microsecond)
 		}

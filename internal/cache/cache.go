@@ -388,13 +388,3 @@ func (m *Manager) evict() {
 		m.evicted++
 	}
 }
-
-// BatchBytes estimates the resident size of a batch. It is the
-// vector-level estimate (Batch.Bytes), kept exported so cache consumers
-// size their budgets in the same unit the cache charges.
-func BatchBytes(b *vector.Batch) int64 {
-	if b == nil {
-		return 0
-	}
-	return b.Bytes()
-}

@@ -83,7 +83,7 @@ func TestSpanContains(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	one := BatchBytes(batchOfRows(100))
+	one := batchOfRows(100).Bytes()
 	m := New(Config{Policy: LRU, Granularity: FileGranular, MaxBytes: one*2 + 10})
 	m.Put("a", batchOfRows(100), FullSpan())
 	m.Put("b", batchOfRows(100), FullSpan())
@@ -142,16 +142,6 @@ func TestNilManagerSafe(t *testing.T) {
 		t.Error("nil manager contains data")
 	}
 	_ = m.Stats()
-}
-
-func TestBatchBytes(t *testing.T) {
-	if BatchBytes(nil) != 0 {
-		t.Error("nil batch has bytes")
-	}
-	b := vector.NewBatch(vector.FromInt64([]int64{1, 2}), vector.FromBool([]bool{true, false}))
-	if got := BatchBytes(b); got != 2*8+2 {
-		t.Errorf("BatchBytes = %d, want 18", got)
-	}
 }
 
 func TestBudgetInvariantProperty(t *testing.T) {

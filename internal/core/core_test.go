@@ -10,7 +10,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/mseed"
 	"repro/internal/repo"
-	"repro/internal/storage"
 	"repro/internal/vector"
 )
 
@@ -501,13 +500,8 @@ func TestOpenRejectsUnhonouredOptions(t *testing.T) {
 		opts Options
 		want string // error substring; "" means Open must succeed
 	}{
-		{"share above one", Options{MountBudgetBytes: 1 << 20, MountMaxSessionShare: 1.5}, "MountMaxSessionShare"},
-		{"share NaN", Options{MountBudgetBytes: 1 << 20, MountMaxSessionShare: math.NaN()}, "MountMaxSessionShare"},
-		{"share +Inf", Options{MountMaxSessionShare: math.Inf(1)}, "MountMaxSessionShare"},
 		{"subsumption without cache", Options{ResultCacheSubsumption: true}, "ResultCacheBytes"},
 		{"spill threshold without dir", Options{SpillThresholdBytes: 1}, "SpillDir"},
-		{"share one", Options{MountBudgetBytes: 1 << 20, MountMaxSessionShare: 1}, ""},
-		{"share off", Options{MountMaxSessionShare: -1}, ""},
 		{"subsumption with cache", Options{ResultCacheSubsumption: true, ResultCacheBytes: -1}, ""},
 		{"spill threshold with dir", Options{SpillThresholdBytes: 1, SpillDir: spill}, ""},
 		{"spill threshold off without dir", Options{SpillThresholdBytes: -1}, ""},
@@ -536,8 +530,7 @@ func TestOpenRejectsUnhonouredOptions(t *testing.T) {
 
 func TestModeledIOAccounting(t *testing.T) {
 	m := testRepo(t)
-	disk := storage.HDD7200()
-	e := openEngine(t, m.Dir, Options{Mode: ModeALi, Disk: &disk})
+	e := openEngine(t, m.Dir, Options{Mode: ModeALi})
 	res, err := e.Query(query1)
 	if err != nil {
 		t.Fatal(err)

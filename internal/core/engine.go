@@ -15,7 +15,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -67,8 +66,6 @@ type Options struct {
 	// Adapter maps the repository's format onto the schema (defaults to
 	// the seismic mSEED adapter).
 	Adapter catalog.FormatAdapter
-	// Disk is the modeled storage device (defaults to HDD7200).
-	Disk *storage.DiskModel
 	// PoolPages sizes the buffer pool (defaults to 16384 pages = 1 GiB).
 	PoolPages int
 	// Cache configures the ingestion cache (defaults to NeverCache, the
@@ -90,12 +87,6 @@ type Options struct {
 	// instead of OOMing the server; a single file larger than the whole
 	// budget is admitted alone. <= 0 means unlimited.
 	MountBudgetBytes int64
-	// MountMaxSessionShare caps the mount-budget bytes one session (see
-	// Engine.QueryAs) may hold at once, as a fraction of MountBudgetBytes
-	// (0 < share <= 1); <= 0 means no cap. A session at its quota blocks
-	// only itself: its requests are passed over in the admission scan,
-	// never the sessions queued behind them.
-	MountMaxSessionShare float64
 	// ResultCacheBytes enables the engine-wide result cache: completed
 	// query results are retained frozen, keyed by canonical plan
 	// fingerprint + invalidation epoch, and served to later identical
@@ -197,9 +188,6 @@ func Open(opts Options) (*Engine, error) {
 		opts.Adapter = seismic.NewAdapter()
 	}
 	disk := storage.HDD7200()
-	if opts.Disk != nil {
-		disk = *opts.Disk
-	}
 	if opts.PoolPages == 0 {
 		opts.PoolPages = 16384
 	}
@@ -266,11 +254,10 @@ func Open(opts Options) (*Engine, error) {
 	// path, so concurrent identical queries coalesce onto single flights
 	// and the admission budget holds across the whole engine.
 	svcCfg := mountsvc.Config{
-		RepoDir:         opts.RepoDir,
-		Pool:            pool,
-		Cache:           e.cache,
-		BudgetBytes:     opts.MountBudgetBytes,
-		MaxSessionShare: opts.MountMaxSessionShare,
+		RepoDir:     opts.RepoDir,
+		Pool:        pool,
+		Cache:       e.cache,
+		BudgetBytes: opts.MountBudgetBytes,
 	}
 	if opts.SpillDir != "" && opts.SpillThresholdBytes > 0 {
 		svcCfg.SpillDir = filepath.Join(opts.SpillDir, "flights")
@@ -333,8 +320,6 @@ func (o Options) validate() error {
 	switch {
 	case o.RepoDir == "" || o.DBDir == "":
 		return fmt.Errorf("core: Options needs RepoDir and DBDir")
-	case o.MountMaxSessionShare > 1 || math.IsNaN(o.MountMaxSessionShare):
-		return fmt.Errorf("core: MountMaxSessionShare %v is not in (0, 1]", o.MountMaxSessionShare)
 	case o.ResultCacheSubsumption && o.ResultCacheBytes == 0:
 		return fmt.Errorf("core: ResultCacheSubsumption requires ResultCacheBytes")
 	case o.SpillThresholdBytes > 0 && o.SpillDir == "":

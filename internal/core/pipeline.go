@@ -36,8 +36,8 @@ func (e *Engine) Prepare(sqlText string) (*Prepared, error) {
 
 // PrepareAs is Prepare with an execution identity: ctx cancels the
 // query's waits on the mount admission budget, and session is the
-// identity its mounts and result-cache stores are attributed to — the
-// unit of the engine's per-session quotas and fairness statistics.
+// identity its mounts and result-cache stores are attributed to in the
+// engine's per-session statistics.
 func (e *Engine) PrepareAs(ctx context.Context, session, sqlText string) (*Prepared, error) {
 	// parse
 	stmt, err := sql.Parse(sqlText)
@@ -118,10 +118,9 @@ func (e *Engine) Query(sqlText string) (*Result, error) {
 
 // QueryAs is Query under an execution identity: ctx unblocks the query
 // promptly if it is cancelled while waiting on the mount admission
-// budget (holding nothing it never acquired), and session threads
-// through to the mount service's per-session quotas and the result
-// cache's per-session eviction — the fairness unit that keeps one
-// greedy session from starving the rest.
+// budget (holding nothing it never acquired), and session is the
+// accounting identity its mounts and result-cache stores are charged to
+// in the per-session statistics.
 func (e *Engine) QueryAs(ctx context.Context, session, sqlText string) (*Result, error) {
 	if e.results == nil {
 		p, err := e.PrepareAs(ctx, session, sqlText)

@@ -3,12 +3,8 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
-	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/admission"
 )
 
 // TestQueryAsAttributesMountsToSession: the session identity threaded
@@ -94,112 +90,5 @@ func TestResultCacheStoresAttributedToSession(t *testing.T) {
 	}
 	if st.BytesResident != ss.HeldBytes {
 		t.Errorf("resident %d != session-held %d with one session", st.BytesResident, ss.HeldBytes)
-	}
-}
-
-// TestMountMaxSessionShareBoundsGreedySession: Options.MountMaxSessionShare
-// must reach the mount service's admission gate. One greedy session
-// loops a bulk query under a three-file budget while interactive
-// sessions run Query 1: the greedy session is passed over at its quota,
-// never holds more than its share (or one file larger than the share,
-// which the gate admits alone), and every interactive answer equals the
-// uncontended one. Wall-clock waits are not asserted.
-func TestMountMaxSessionShareBoundsGreedySession(t *testing.T) {
-	m := testRepo(t)
-	var maxFile int64
-	for _, f := range m.Files {
-		if f.SizeBytes > maxFile {
-			maxFile = f.SizeBytes
-		}
-	}
-	budget := 3 * m.Bytes / int64(len(m.Files))
-	const share = 0.5
-	// Parallelism above what the quota admits, so the greedy session
-	// always has more mount requests in hand than it may hold.
-	eng := openEngine(t, m.Dir, Options{
-		Mode: ModeALi, MountBudgetBytes: budget, MountMaxSessionShare: share, Parallelism: 4,
-	})
-	ref, err := eng.Query(query1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ref.Format(0)
-
-	// Every file before Jan 12: disjoint from Query 1's file, so the
-	// interactive sessions lead their own flights.
-	const bulk = `SELECT AVG(D.sample_value)
-FROM F JOIN R ON F.uri = R.uri
-JOIN D ON R.uri = D.uri AND R.record_id = D.record_id
-WHERE R.start_time > '2010-01-01T00:00:00.000'
-AND R.start_time < '2010-01-12T00:00:00.000'`
-	ctx := context.Background()
-	greedy := func() admission.SessionStats { return eng.MountService().Stats().PerSession["greedy"] }
-	stop := make(chan struct{})
-	greedyErr := make(chan error, 1)
-	go func() {
-		// Until the interactive sessions are done, and then until the
-		// quota has bitten at least once (it does within the first run
-		// unless the wiring is broken; the deadline bounds that case).
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			if _, err := eng.QueryAs(ctx, "greedy", bulk); err != nil {
-				greedyErr <- err
-				return
-			}
-			select {
-			case <-stop:
-				if greedy().QuotaBlocked > 0 || time.Now().After(deadline) {
-					greedyErr <- nil
-					return
-				}
-			default:
-			}
-		}
-	}()
-
-	const sessions, runs = 3, 4
-	errs := make([]error, sessions)
-	var wg sync.WaitGroup
-	for i := 0; i < sessions; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for r := 0; r < runs; r++ {
-				res, err := eng.QueryAs(ctx, fmt.Sprintf("interactive-%d", i), query1)
-				if err == nil && res.Format(0) != want {
-					err = fmt.Errorf("answer under contention:\n%s\nwant:\n%s", res.Format(0), want)
-				}
-				if err != nil {
-					errs[i] = err
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(stop)
-	if err := <-greedyErr; err != nil {
-		t.Fatalf("greedy session: %v", err)
-	}
-	for i, err := range errs {
-		if err != nil {
-			t.Errorf("interactive session %d: %v", i, err)
-		}
-	}
-
-	g := greedy()
-	if g.QuotaBlocked == 0 {
-		t.Error("greedy session was never passed over at its quota")
-	}
-	ceiling := int64(share * float64(budget))
-	if maxFile > ceiling {
-		ceiling = maxFile
-	}
-	if g.PeakHeldBytes > ceiling {
-		t.Errorf("greedy session held %d bytes at peak, over its ceiling %d (share %.2f of budget %d, largest file %d)",
-			g.PeakHeldBytes, ceiling, share, budget, maxFile)
-	}
-	if held := eng.MountService().Stats().InFlightBytes; held != 0 {
-		t.Errorf("%d budget bytes still held after every session finished", held)
 	}
 }

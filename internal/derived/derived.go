@@ -172,62 +172,3 @@ func (s *Store) Answer(records []RecordRef, spanLo, spanHi int64, fn plan.AggFun
 	}
 	return vector.Value{}, false
 }
-
-// Gap is a hole in record coverage — classic "analyzed" derived metadata
-// (paper §5 cites gaps and overlaps as examples).
-type Gap struct {
-	URI      string
-	AfterRec int64
-	Lo, Hi   int64 // the uncovered interval (exclusive bounds)
-}
-
-// FindGaps detects gaps between consecutive records of the same file.
-// Records must be passed grouped by URI and sorted by SpanLo; tolerance
-// is the largest allowed hole (e.g. one sample period) before a gap is
-// reported.
-func FindGaps(records []RecordRef, tolerance int64) []Gap {
-	var out []Gap
-	for i := 1; i < len(records); i++ {
-		prev, cur := records[i-1], records[i]
-		if prev.URI != cur.URI {
-			continue
-		}
-		if cur.SpanLo-prev.SpanHi > tolerance {
-			out = append(out, Gap{
-				URI: cur.URI, AfterRec: prev.RecordID,
-				Lo: prev.SpanHi, Hi: cur.SpanLo,
-			})
-		}
-	}
-	return out
-}
-
-// Overlap is the converse of Gap: two records covering the same instants.
-type Overlap struct {
-	URI        string
-	RecA, RecB int64
-	Lo, Hi     int64
-}
-
-// FindOverlaps detects overlapping consecutive records (same ordering
-// contract as FindGaps).
-func FindOverlaps(records []RecordRef) []Overlap {
-	var out []Overlap
-	for i := 1; i < len(records); i++ {
-		prev, cur := records[i-1], records[i]
-		if prev.URI != cur.URI {
-			continue
-		}
-		if cur.SpanLo <= prev.SpanHi {
-			hi := prev.SpanHi
-			if cur.SpanHi < hi {
-				hi = cur.SpanHi
-			}
-			out = append(out, Overlap{
-				URI: cur.URI, RecA: prev.RecordID, RecB: cur.RecordID,
-				Lo: cur.SpanLo, Hi: hi,
-			})
-		}
-	}
-	return out
-}

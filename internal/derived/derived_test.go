@@ -145,37 +145,6 @@ func TestAnswerMatchesDirectComputationProperty(t *testing.T) {
 	}
 }
 
-func TestFindGaps(t *testing.T) {
-	recs := []RecordRef{
-		{URI: "a", RecordID: 0, SpanLo: 0, SpanHi: 100},
-		{URI: "a", RecordID: 1, SpanLo: 125, SpanHi: 200}, // gap of 25
-		{URI: "a", RecordID: 2, SpanLo: 201, SpanHi: 300}, // gap of 1
-		{URI: "b", RecordID: 0, SpanLo: 5000, SpanHi: 6000},
-	}
-	gaps := FindGaps(recs, 10)
-	if len(gaps) != 1 {
-		t.Fatalf("gaps = %+v, want 1", gaps)
-	}
-	if gaps[0].AfterRec != 0 || gaps[0].Lo != 100 || gaps[0].Hi != 125 {
-		t.Errorf("gap = %+v", gaps[0])
-	}
-}
-
-func TestFindOverlaps(t *testing.T) {
-	recs := []RecordRef{
-		{URI: "a", RecordID: 0, SpanLo: 0, SpanHi: 100},
-		{URI: "a", RecordID: 1, SpanLo: 90, SpanHi: 200},
-		{URI: "a", RecordID: 2, SpanLo: 201, SpanHi: 300},
-	}
-	ovs := FindOverlaps(recs)
-	if len(ovs) != 1 {
-		t.Fatalf("overlaps = %+v, want 1", ovs)
-	}
-	if ovs[0].RecA != 0 || ovs[0].RecB != 1 || ovs[0].Lo != 90 || ovs[0].Hi != 100 {
-		t.Errorf("overlap = %+v", ovs[0])
-	}
-}
-
 func TestObserveEmptyBatch(t *testing.T) {
 	s := NewStore()
 	s.Observe("e", vector.NewBatch(

@@ -163,7 +163,7 @@ type Env struct {
 	// on the admission budget unblock when it is done.
 	Ctx context.Context
 	// Session is the query's session identity, attributed to every mount
-	// request for per-session admission quotas and statistics.
+	// request for per-session admission statistics.
 	Session string
 	// BatchSize caps rows per batch (defaults to vector.DefaultBatchSize).
 	BatchSize int

@@ -20,9 +20,8 @@
 //     requests beyond the budget wait in a FIFO ticket queue — handoff
 //     wakeups, so a stream of small requests can never starve a large
 //     waiter — backpressuring the mount scheduler instead of OOMing.
-//     Waits are cancellable (Request.Ctx) and subject to per-session
-//     quotas (Request.Session), so one greedy session cannot hold the
-//     whole budget against interactive explorers.
+//     Waits are cancellable (Request.Ctx) and counted per session
+//     (Request.Session).
 //   - Cancel-aware flights: a flight refcounts its live cursors; when
 //     every waiter has closed or drained, an extraction still running is
 //     stopped at the next batch boundary, its budget released and any
@@ -69,12 +68,6 @@ type Config struct {
 	// at once across all queries; <= 0 means unlimited. A single file
 	// larger than the budget is admitted alone.
 	BudgetBytes int64
-	// SessionQuotaBytes caps the budget bytes one session may hold at
-	// once; <= 0 means no cap (see admission.Config.SessionQuotaBytes).
-	SessionQuotaBytes int64
-	// MaxSessionShare caps one session's holdings as a fraction of
-	// BudgetBytes; <= 0 means no cap. The smaller of the two caps wins.
-	MaxSessionShare float64
 	// SpillDir, together with SpillThresholdBytes > 0, enables
 	// out-of-core replay buffers: once a flight's resident replay buffer
 	// exceeds the threshold, its batches are flushed to a temp spill
@@ -123,8 +116,8 @@ type Request struct {
 	// context, so one cancelled query can never fail the queries that
 	// joined its flight.
 	Ctx context.Context
-	// Session identifies the requesting session for admission quotas
-	// and per-session statistics; empty is a valid (shared) identity.
+	// Session identifies the requesting session in the admission gate's
+	// per-session statistics; empty is a valid (shared) identity.
 	Session string
 	// Adapter extracts the file's format.
 	Adapter catalog.FormatAdapter
@@ -207,8 +200,7 @@ type Stats struct {
 	WaiterCancels     int64
 	StarvationAvoided int64
 	// PerSession breaks the admission gate down by session identity:
-	// held/peak bytes, acquires, waits and wait times, cancellations,
-	// quota blocks.
+	// held/peak bytes, acquires, waits and wait times, cancellations.
 	PerSession map[string]admission.SessionStats
 }
 
@@ -251,11 +243,7 @@ func New(cfg Config) *Service {
 	return &Service{
 		cfg:     cfg,
 		flights: make(map[string][]*flight),
-		gate: admission.New(admission.Config{
-			BudgetBytes:       cfg.BudgetBytes,
-			SessionQuotaBytes: cfg.SessionQuotaBytes,
-			MaxSessionShare:   cfg.MaxSessionShare,
-		}),
+		gate:    admission.New(admission.Config{BudgetBytes: cfg.BudgetBytes}),
 	}
 }
 
@@ -491,8 +479,8 @@ func (s *Service) run(f *flight, req Request, path string, size int64) {
 }
 
 // admit blocks in the admission gate until the flight's bytes fit the
-// budget (FIFO order, per-session quotas) or every waiter abandons the
-// flight. Deliberately NOT cancelled by any single request's context:
+// budget (FIFO order) or every waiter abandons the flight.
+// Deliberately NOT cancelled by any single request's context:
 // a flight is shared, and failing it on one waiter's cancellation would
 // poison the queries riding it — cancelled waiters leave through their
 // own cursors instead, and only the last one's departure (abandonment)

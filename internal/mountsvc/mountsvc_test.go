@@ -798,50 +798,6 @@ func TestFIFOAdmissionNoStarvation(t *testing.T) {
 	}
 }
 
-// TestSessionQuotaBoundsOneSession: a session at its quota waits while
-// another session's later request is admitted past it.
-func TestSessionQuotaBoundsOneSession(t *testing.T) {
-	const fileSize = 400
-	dir := testFiles(t, map[string]int{
-		"g1.slow": fileSize, "g2.slow": fileSize, "i1.slow": fileSize,
-	})
-	adG := &slowAdapter{nBatches: 2, batchLen: 4}
-	adI := &slowAdapter{nBatches: 2, batchLen: 4}
-	// Budget fits three files; the quota caps one session at one file.
-	svc := New(Config{RepoDir: dir, BudgetBytes: fileSize * 3, SessionQuotaBytes: fileSize})
-
-	g1 := holdBudget(t, svc, adG, "g1.slow")
-	g2, err := svc.Mount(Request{URI: "g2.slow", Adapter: adG, Session: "", Span: cache.FullSpan()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitStat(t, svc, "greedy second mount never queued", func(st Stats) bool {
-		return st.QueueDepth == 1
-	})
-	// A different session flows past the quota-blocked ticket.
-	i1, err := svc.Mount(Request{URI: "i1.slow", Adapter: adI, Session: "interactive", Span: cache.FullSpan()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows := drain(t, i1); rows != 8 {
-		t.Errorf("interactive rows = %d", rows)
-	}
-	if got := adG.extractions.Load(); got != 1 {
-		t.Errorf("greedy extractions = %d, want 1 (second blocked by quota)", got)
-	}
-	st := svc.Stats()
-	if st.PerSession[""].QuotaBlocked == 0 {
-		t.Errorf("greedy session QuotaBlocked = 0: %+v", st.PerSession)
-	}
-	// Its own release is what unblocks the greedy session.
-	if b, err := g1.Next(); b != nil || err != nil {
-		t.Fatalf("g1 drain: (%v, %v)", b, err)
-	}
-	if rows := drain(t, g2); rows != 8 {
-		t.Errorf("greedy second mount rows = %d", rows)
-	}
-}
-
 // TestCancelledMidExtractionReleasesBudgetOnce is the satellite-3
 // regression, run under -race: a flight abandoned mid-extraction
 // returns its admitted bytes exactly once — the admission gate panics

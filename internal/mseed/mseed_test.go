@@ -236,18 +236,6 @@ func TestFileScanHeadersAndReadFile(t *testing.T) {
 	}
 }
 
-func TestReadFileFiltered(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "t.mseed")
-	writeTestFile(t, path, testRecords())
-	recs, err := ReadFileFiltered(path, func(h Header) bool { return h.Seq == 1 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || recs[0].Seq != 1 {
-		t.Fatalf("filtered read returned %d records", len(recs))
-	}
-}
-
 func TestScanHeadersRejectsGarbage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad.mseed")
 	if err := os.WriteFile(path, []byte("this is not a seed file at all........................."), 0o644); err != nil {

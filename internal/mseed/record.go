@@ -292,38 +292,5 @@ func ReadFile(path string) ([]Record, error) {
 	}
 }
 
-// ReadFileFiltered decodes only the records whose header satisfies keep;
-// the payloads of rejected records are skipped without decompression.
-// This implements the fused selection-with-mount access path (σ∘mount).
-func ReadFileFiltered(path string, keep func(Header) bool) ([]Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	r := NewReader(f)
-	var out []Record
-	for {
-		h, err := r.NextHeader()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		if !keep(h) {
-			if err := r.SkipPayload(h); err != nil {
-				return nil, fmt.Errorf("%s: %w", path, err)
-			}
-			continue
-		}
-		samples, err := r.ReadPayload(h, nil)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		out = append(out, Record{Header: h, Samples: samples})
-	}
-}
-
 func floatBits(f float64) uint64     { return uint64FromFloat(f) }
 func floatFromBits(b uint64) float64 { return float64FromUint(b) }

@@ -24,14 +24,12 @@
 //     one layer up — the leader executes, riders block and then receive
 //     shares of the frozen result, paying O(1) instead of a full Qf+Qs
 //     execution each.
-//   - Byte-budget LRU, per-session-aware: resident results are
-//     accounted with Batch.Bytes through the engine's shared admission
-//     abstraction (internal/admission, the same gate type behind the
-//     mount budget), tagged with the storing session. Under pressure a
-//     session holding more than its share evicts its own
-//     least-recently-served entries first — a fat dashboard's results
-//     push out that dashboard's older results, not everyone else's —
-//     falling back to global LRU otherwise.
+//   - Byte-budget LRU: resident results are accounted with Batch.Bytes
+//     and evicted least-recently-served first. Each entry's bytes are
+//     also charged to its storing session through the engine's shared
+//     admission abstraction (internal/admission, the same gate type
+//     behind the mount budget), so Stats breaks residency down by
+//     session.
 //   - Cost-gated admission: a result whose recompute cost signal (the
 //     engine passes the breakpoint's cardinality-derived estimate or the
 //     measured modeled time, whichever is larger) falls below the
@@ -71,11 +69,6 @@ type Config struct {
 	// below it are not retained (riders of an in-flight execution are
 	// still served). Zero admits everything.
 	MinCost time.Duration
-	// MaxSessionShare caps one session's resident result bytes as a
-	// fraction of MaxBytes; a session over its share evicts its own
-	// oldest entries first. <= 0 disables the per-session preference
-	// (eviction is plain global LRU).
-	MaxSessionShare float64
 	// SpillDir enables the disk tier (see spill.go): cold entries are
 	// demoted to spill files here instead of evicted, and the directory
 	// doubles as the restart-persistence store. Empty disables the tier.
@@ -97,11 +90,9 @@ type Stats struct {
 	// Stores / RejectedStores split completed executions into retained
 	// and admission-rejected (cost floor or epoch raced) ones.
 	Stores, RejectedStores int64
-	// Evictions counts LRU budget evictions; SelfEvictions the subset
-	// where an over-share session's own entry was taken instead of the
-	// global LRU victim; Invalidations counts entries dropped by epoch
-	// bumps.
-	Evictions, SelfEvictions, Invalidations int64
+	// Evictions counts LRU budget evictions; Invalidations counts
+	// entries dropped by epoch bumps.
+	Evictions, Invalidations int64
 	// Subsumption counters: probes of the secondary index on exact miss,
 	// hits served by re-filtering a wider entry, the bytes of wider
 	// entries served that way instead of re-executed and re-mounted, and
@@ -145,10 +136,9 @@ type Outcome struct {
 type Cache struct {
 	cfg Config
 
-	// gate is the shared admission abstraction carrying the byte budget:
-	// entries are charged to their storing session (Charge — stores are
-	// never blocked; the budget drives eviction instead) and released on
-	// evict/invalidate, so per-session occupancy steers the evictor.
+	// gate accounts resident bytes per session: entries are charged to
+	// their storing session (Charge — stores are never blocked; the
+	// budget drives eviction instead) and released on evict/invalidate.
 	gate *admission.Gate
 
 	mu      sync.Mutex
@@ -169,10 +159,10 @@ type Cache struct {
 	// stored with a non-nil summary appear.
 	subindex map[plan.SubsumptionKey]map[plan.Fingerprint]struct{}
 
-	hits, misses, riders     int64
-	stores, rejected         int64
-	evictions, selfEvictions int64
-	invalidated              int64
+	hits, misses, riders int64
+	stores, rejected     int64
+	evictions            int64
+	invalidated          int64
 
 	subProbes, subHits int64
 	subBytesSaved      int64
@@ -208,11 +198,8 @@ type flight struct {
 // previous Close is loaded and its entries served from disk.
 func New(cfg Config) *Cache {
 	c := &Cache{
-		cfg: cfg,
-		gate: admission.New(admission.Config{
-			BudgetBytes:     cfg.MaxBytes,
-			MaxSessionShare: cfg.MaxSessionShare,
-		}),
+		cfg:       cfg,
+		gate:      admission.New(admission.Config{}),
 		entries:   make(map[plan.Fingerprint]*list.Element),
 		order:     list.New(),
 		flights:   make(map[plan.Fingerprint]*flight),
@@ -440,7 +427,7 @@ func (c *Cache) putLocked(fp plan.Fingerprint, session string, mat *exec.Materia
 		bucket[fp] = struct{}{}
 	}
 	c.gate.Charge(session, e.bytes)
-	c.evictLocked(session)
+	c.evictLocked()
 }
 
 // removeLocked drops one entry — resident (bytes go back to the gate)
@@ -467,32 +454,18 @@ func (c *Cache) removeLocked(el *list.Element) {
 	}
 }
 
-// evictLocked enforces the byte budget after a store by `storing`;
-// callers hold the lock. While the storing session holds more than its
-// share, its own least-recently-served entry goes first — the session
-// whose fat results created the pressure pays for it — then eviction
-// falls back to global LRU. Like the ingestion cache, a single
-// over-budget entry is allowed to remain alone. With the disk tier
-// configured the victim is demoted to a spill file instead of dropped
-// (falling back to a real eviction if the disk write fails).
-func (c *Cache) evictLocked(storing string) {
+// evictLocked enforces the byte budget after a store; callers hold the
+// lock. The victim is the least-recently-served entry. Like the
+// ingestion cache, a single over-budget entry is allowed to remain
+// alone. With the disk tier configured the victim is demoted to a spill
+// file instead of dropped (falling back to a real eviction if the disk
+// write fails).
+func (c *Cache) evictLocked() {
 	if c.cfg.MaxBytes <= 0 {
 		return
 	}
 	for c.bytes > c.cfg.MaxBytes && c.order.Len() > 1 {
 		victim := c.order.Back()
-		if c.gate.OverShare(storing) {
-			// The just-stored entry sits at the front; any older entry of
-			// the over-share session is a better victim than another
-			// session's.
-			for el := c.order.Back(); el != nil && el != c.order.Front(); el = el.Prev() {
-				if el.Value.(*entry).session == storing {
-					victim = el
-					c.selfEvictions++
-					break
-				}
-			}
-		}
 		if c.spillEnabled() && c.demoteLocked(victim) {
 			continue
 		}
@@ -600,8 +573,7 @@ func (c *Cache) Stats() Stats {
 	return Stats{
 		Hits: c.hits, Misses: c.misses, Riders: c.riders,
 		Stores: c.stores, RejectedStores: c.rejected,
-		Evictions: c.evictions, SelfEvictions: c.selfEvictions,
-		Invalidations:     c.invalidated,
+		Evictions: c.evictions, Invalidations: c.invalidated,
 		SubsumptionProbes: c.subProbes, SubsumptionHits: c.subHits,
 		SubsumptionBytesSaved: c.subBytesSaved, RefilterWall: c.refilterWall,
 		Demotions: c.demotions, Promotions: c.promotions,

@@ -84,59 +84,11 @@ func TestByteBudgetLRU(t *testing.T) {
 	}
 }
 
-// TestOverShareSessionEvictsItsOwnEntriesFirst pins the per-session
-// eviction preference: when a session holding more than its share
-// stores another entry, the victim is that session's own oldest entry,
-// not another session's globally-older one.
-func TestOverShareSessionEvictsItsOwnEntriesFirst(t *testing.T) {
-	per := mat(1, 2, 3, 4).Batches[0].Bytes()
-	// Budget fits two entries; one session may hold at most half.
-	c := New(Config{MaxBytes: 2 * per, MaxSessionShare: 0.5})
-	c.Put(fp("other"), "frugal", mat(1, 2, 3, 4), 0)
-	c.Put(fp("fat1"), "dashboard", mat(5, 6, 7, 8), 0)
-	// dashboard's second store pushes it over its share AND the cache
-	// over budget: its own fat1 must go, not frugal's globally-oldest
-	// entry.
-	c.Put(fp("fat2"), "dashboard", mat(9, 10, 11, 12), 0)
-	if _, ok := c.Get(fp("other")); !ok {
-		t.Fatal("the frugal session's entry paid for the dashboard's pressure")
-	}
-	if _, ok := c.Get(fp("fat1")); ok {
-		t.Fatal("over-share session's own oldest entry survived")
-	}
-	if _, ok := c.Get(fp("fat2")); !ok {
-		t.Fatal("just-stored entry evicted")
-	}
-	st := c.Stats()
-	if st.SelfEvictions != 1 || st.Evictions != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if got := st.PerSession["dashboard"].HeldBytes; got != per {
-		t.Errorf("dashboard resident bytes = %d, want %d", got, per)
-	}
-	if got := st.PerSession["frugal"].HeldBytes; got != per {
-		t.Errorf("frugal resident bytes = %d, want %d", got, per)
-	}
-
-	// Without the share cap the same sequence evicts plain LRU (the
-	// frugal session's older entry).
-	c2 := New(Config{MaxBytes: 2 * per})
-	c2.Put(fp("other"), "frugal", mat(1, 2, 3, 4), 0)
-	c2.Put(fp("fat1"), "dashboard", mat(5, 6, 7, 8), 0)
-	c2.Put(fp("fat2"), "dashboard", mat(9, 10, 11, 12), 0)
-	if _, ok := c2.Get(fp("other")); ok {
-		t.Fatal("global LRU kept the oldest entry without a share cap")
-	}
-	if st := c2.Stats(); st.SelfEvictions != 0 {
-		t.Fatalf("self-evictions without a share cap: %+v", st)
-	}
-}
-
 // TestBumpEpochReleasesSessionBytes: invalidation must return every
-// entry's bytes to its session, or quota pressure would outlive the
-// entries it came from.
+// entry's bytes to its session, or the per-session residency in Stats
+// would outlive the entries it came from.
 func TestBumpEpochReleasesSessionBytes(t *testing.T) {
-	c := New(Config{MaxBytes: 1 << 20, MaxSessionShare: 0.5})
+	c := New(Config{MaxBytes: 1 << 20})
 	c.Put(fp("a"), "s1", mat(1, 2), 0)
 	c.Put(fp("b"), "s2", mat(3, 4), 0)
 	c.BumpEpoch()

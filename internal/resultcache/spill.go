@@ -125,7 +125,7 @@ func (c *Cache) promoteLocked(el *list.Element) (*exec.Materialized, bool) {
 	c.bytes += e.bytes
 	c.gate.Charge(e.session, e.bytes)
 	c.promotions++
-	c.evictLocked(e.session)
+	c.evictLocked()
 	return mat, true
 }
 

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -50,16 +51,24 @@ type Lit struct {
 
 func (*Lit) exprNode() {}
 
+// String prints the literal so that it lexes back to itself: a DOUBLE
+// keeps a '.' (a bare 1000000 would read back as BIGINT) and never uses
+// an exponent, which the lexer does not take, and a quote inside a
+// string is doubled.
 func (e *Lit) String() string {
 	switch e.Kind {
 	case LitInt:
 		return fmt.Sprintf("%d", e.Int)
 	case LitFloat:
-		return fmt.Sprintf("%g", e.Float)
+		s := strconv.FormatFloat(e.Float, 'f', -1, 64)
+		if !strings.Contains(s, ".") {
+			s += ".0"
+		}
+		return s
 	case LitBool:
 		return fmt.Sprintf("%t", e.Bool)
 	default:
-		return "'" + e.Str + "'"
+		return "'" + strings.ReplaceAll(e.Str, "'", "''") + "'"
 	}
 }
 
@@ -72,7 +81,20 @@ type Binary struct {
 func (*Binary) exprNode() {}
 
 func (e *Binary) String() string {
-	return fmt.Sprintf("(%s %s %s)", e.L, e.Op, e.R)
+	if e.Op == "AND" || e.Op == "OR" {
+		return fmt.Sprintf("(%s %s %s)", e.L, e.Op, e.R)
+	}
+	return fmt.Sprintf("(%s %s %s)", operand(e.L), e.Op, operand(e.R))
+}
+
+// operand prints e as the operand of a comparison, arithmetic or
+// negation. A NOT there needs parentheses: NOT binds looser than all
+// three, so "NOT x = y" would read back as NOT (x = y).
+func operand(e Expr) string {
+	if u, ok := e.(*Unary); ok && u.Op == "NOT" {
+		return "(" + u.String() + ")"
+	}
+	return e.String()
 }
 
 // Unary is NOT or numeric negation.
@@ -87,7 +109,12 @@ func (e *Unary) String() string {
 	if e.Op == "NOT" {
 		return "NOT " + e.E.String()
 	}
-	return "-" + e.E.String()
+	s := operand(e.E)
+	if strings.HasPrefix(s, "-") {
+		// A space keeps "- -x" from printing as the line comment "--x".
+		return "- " + s
+	}
+	return "-" + s
 }
 
 // Call is a function call; aggregates (AVG, SUM, COUNT, MIN, MAX) are the

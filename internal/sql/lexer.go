@@ -12,7 +12,6 @@ package sql
 import (
 	"fmt"
 	"strings"
-	"unicode"
 )
 
 // TokenKind classifies lexer output.
@@ -50,23 +49,25 @@ var keywords = map[string]bool{
 }
 
 // Lex tokenizes the input, returning an error with position on any
-// character it does not understand.
+// character it does not understand. Outside string literals the input
+// is ASCII: identifiers are ASCII letters, digits and '_', and any other
+// byte is an unexpected character at its offset.
 func Lex(input string) ([]Token, error) {
 	var toks []Token
 	i := 0
 	n := len(input)
 	for i < n {
-		c := rune(input[i])
+		c := input[i]
 		switch {
-		case unicode.IsSpace(c):
+		case isSpace(c):
 			i++
 		case c == '-' && i+1 < n && input[i+1] == '-': // line comment
 			for i < n && input[i] != '\n' {
 				i++
 			}
-		case unicode.IsLetter(c) || c == '_':
+		case isLetter(c) || c == '_':
 			start := i
-			for i < n && (isIdentChar(rune(input[i]))) {
+			for i < n && isIdentChar(input[i]) {
 				i++
 			}
 			word := input[start:i]
@@ -76,14 +77,14 @@ func Lex(input string) ([]Token, error) {
 			} else {
 				toks = append(toks, Token{Kind: TokIdent, Text: word, Pos: start})
 			}
-		case unicode.IsDigit(c) || (c == '.' && i+1 < n && unicode.IsDigit(rune(input[i+1]))):
+		case isDigit(c) || (c == '.' && i+1 < n && isDigit(input[i+1])):
 			start := i
 			seenDot := false
 			for i < n {
-				ch := rune(input[i])
-				if unicode.IsDigit(ch) {
+				ch := input[i]
+				if isDigit(ch) {
 					i++
-				} else if ch == '.' && !seenDot && i+1 < n && unicode.IsDigit(rune(input[i+1])) {
+				} else if ch == '.' && !seenDot && i+1 < n && isDigit(input[i+1]) {
 					seenDot = true
 					i++
 				} else {
@@ -131,10 +132,10 @@ func Lex(input string) ([]Token, error) {
 			}
 			switch c {
 			case '(', ')', ',', '.', ';', '=', '<', '>', '+', '-', '*', '/':
-				toks = append(toks, Token{Kind: TokSymbol, Text: string(c), Pos: start})
+				toks = append(toks, Token{Kind: TokSymbol, Text: input[start : start+1], Pos: start})
 				i++
 			default:
-				return nil, fmt.Errorf("sql: unexpected character %q at offset %d", c, i)
+				return nil, fmt.Errorf("sql: unexpected character %q at offset %d", input[i:i+1], i)
 			}
 		}
 	}
@@ -142,6 +143,10 @@ func Lex(input string) ([]Token, error) {
 	return toks, nil
 }
 
-func isIdentChar(c rune) bool {
-	return unicode.IsLetter(c) || unicode.IsDigit(c) || c == '_'
-}
+func isSpace(c byte) bool { return strings.IndexByte(" \t\n\v\f\r", c) >= 0 }
+
+func isLetter(c byte) bool { return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' }
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+func isIdentChar(c byte) bool { return isLetter(c) || isDigit(c) || c == '_' }

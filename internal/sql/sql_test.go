@@ -177,6 +177,9 @@ func TestParseStringEscapes(t *testing.T) {
 	if lit.Str != "it's" {
 		t.Errorf("escaped string = %q", lit.Str)
 	}
+	if got := lit.String(); got != "'it''s'" {
+		t.Errorf("escaped string prints as %s", got)
+	}
 }
 
 func TestParseComments(t *testing.T) {
@@ -262,6 +265,28 @@ func TestLexPositions(t *testing.T) {
 	}
 	if toks[0].Pos != 0 || toks[1].Pos != 7 {
 		t.Errorf("positions = %d, %d", toks[0].Pos, toks[1].Pos)
+	}
+}
+
+// TestLexRejectsNonASCIIOutsideStrings: identifiers are ASCII, and any
+// other byte outside a string literal is reported at its own offset,
+// including the first byte of a multi-byte UTF-8 letter or space.
+func TestLexRejectsNonASCIIOutsideStrings(t *testing.T) {
+	for _, tc := range []struct {
+		input string
+		want  string
+	}{
+		{"SELECT \xdc FROM t", `"\xdc" at offset 7`},
+		{"SELECT \u00e9 FROM t", `"\xc3" at offset 7`},
+		{"SELECT\u00a0a FROM t", `"\xc2" at offset 6`},
+	} {
+		_, err := Lex(tc.input)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Lex(%q) = %v, want unexpected character %s", tc.input, err, tc.want)
+		}
+	}
+	if _, err := Parse("SELECT '\u00e9' FROM t"); err != nil {
+		t.Errorf("non-ASCII inside a string literal rejected: %v", err)
 	}
 }
 

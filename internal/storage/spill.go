@@ -127,7 +127,6 @@ type BatchWriter struct {
 	clock   *Clock
 	started bool
 	batches int
-	written int64
 	scratch []byte
 }
 
@@ -142,9 +141,6 @@ func NewBatchWriter(w io.Writer, kinds []vector.Kind, model DiskModel, clock *Cl
 // Batches returns how many batch frames have been written.
 func (w *BatchWriter) Batches() int { return w.batches }
 
-// BytesWritten returns the total file bytes written so far.
-func (w *BatchWriter) BytesWritten() int64 { return w.written }
-
 func appendUint32(dst []byte, v uint32) []byte {
 	var buf [4]byte
 	binary.LittleEndian.PutUint32(buf[:], v)
@@ -155,7 +151,6 @@ func (w *BatchWriter) flush(frame []byte) error {
 	if _, err := w.w.Write(frame); err != nil {
 		return fmt.Errorf("storage: write spill frame: %w", err)
 	}
-	w.written += int64(len(frame))
 	w.model.ChargeWrite(w.clock, int64(len(frame)))
 	return nil
 }

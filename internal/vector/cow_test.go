@@ -191,7 +191,7 @@ func TestConcurrentSharedReadsAndWrites(t *testing.T) {
 				// Writer: mutate a private share.
 				sh := base.Share()
 				for i := 0; i < 50; i++ {
-					sh.Cols[1].Set(i, Float64(float64(-g*1000 - i)))
+					sh.Cols[1].Set(i, Float64(float64(-g*1000-i)))
 				}
 				for i := 0; i < 50; i++ {
 					if sh.Cols[1].Get(i).F != float64(-g*1000-i) {
