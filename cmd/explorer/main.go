@@ -69,7 +69,7 @@ func main() {
 		budget   = flag.Duration("budget", 0, "abort queries whose estimated cost exceeds this (0 = off)")
 		rcacheMB = flag.Int64("resultcache", 0, "result-cache budget in MiB (0 = off, -1 = unlimited)")
 		subsume  = flag.Bool("subsume", false, "answer narrower queries by re-filtering wider cached results (requires -resultcache)")
-		sessFlag = flag.String("session", "explorer", "session identity for per-session admission and result-cache stats")
+		sessFlag = flag.String("session", "explorer", "session identity for the mount service's per-session admission stats")
 		nostats  = flag.Bool("nostats", false, "disable statistics-free Stage-2 planning (pruning, build sides, honest admission)")
 		spillDir = flag.String("spilldir", "", "directory for out-of-core spill files and the persistent result cache")
 		spillMB  = flag.Int64("spillthreshold", 0, "spill a flight's replay buffer past this many MiB (requires -spilldir)")

@@ -1,8 +1,7 @@
-// Package admission is the engine's shared FIFO byte-budget gate: the
-// one admission abstraction behind both the mount service's
-// in-flight extraction budget and the result cache's resident-bytes
-// budget. It replaces the hand-rolled condition-variable gates those
-// layers used to carry, which had two load-bearing bugs:
+// Package admission is the engine's FIFO byte-budget gate, behind the
+// mount service's in-flight extraction budget. It replaces the
+// hand-rolled condition-variable gates the engine used to carry, which
+// had two load-bearing bugs:
 //
 //   - Uncancellable waits: a request blocked on the budget had no way
 //     out, even though the work it was admitting (flights, queries) was
@@ -18,14 +17,6 @@
 // Sessions are an accounting identity, not a policy: the gate counts
 // each session's held bytes, waits and cancellations, and admits every
 // session's tickets in the same one queue.
-//
-// Two usage modes share the same accounting:
-//
-//   - Blocking: Acquire/Release, used by the mount service, where
-//     admission backpressures extraction.
-//   - Charging: Charge/Release, used by the result cache, where entries
-//     are always accepted and are charged to the session that stored
-//     them.
 package admission
 
 import (
@@ -51,7 +42,7 @@ type SessionStats struct {
 	// admitted bytes.
 	HeldBytes     int64
 	PeakHeldBytes int64
-	// Acquires counts granted admissions (including charges); Waits
+	// Acquires counts granted admissions; Waits
 	// counts acquires that had to queue.
 	Acquires int64
 	Waits    int64
@@ -246,19 +237,6 @@ func (g *Gate) noteWait(s *sessionState, d time.Duration) {
 	if d > s.WaitMax {
 		s.WaitMax = d
 	}
-	g.mu.Unlock()
-}
-
-// Charge admits n bytes to the session unconditionally, never blocking
-// and never queueing — the accounting mode for callers (the result
-// cache) that accept first and evict to get back under budget. The
-// charge counts toward the session's held bytes in Stats.
-func (g *Gate) Charge(session string, n int64) {
-	if n < 0 {
-		n = 0
-	}
-	g.mu.Lock()
-	g.grantLocked(g.session(session), n)
 	g.mu.Unlock()
 }
 

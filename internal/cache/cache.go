@@ -17,9 +17,9 @@
 package cache
 
 import (
-	"container/list"
 	"sync"
 
+	"repro/internal/lru"
 	"repro/internal/vector"
 )
 
@@ -99,10 +99,8 @@ type Manager struct {
 	cfg Config
 
 	mu      sync.Mutex
-	entries map[string]*list.Element
-	order   *list.List          // front = most recently used
-	pending map[string]*Pending // in-progress streaming Puts, by URI
-	bytes   int64
+	entries *lru.List[string, *entry] // by URI, each costing its bytes
+	pending map[string]*Pending       // in-progress streaming Puts, by URI
 	hits    int64
 	misses  int64
 	evicted int64
@@ -113,18 +111,15 @@ type Manager struct {
 }
 
 type entry struct {
-	uri   string
 	batch *vector.Batch
 	span  Span
-	bytes int64
 }
 
 // New returns a manager with the given configuration.
 func New(cfg Config) *Manager {
 	return &Manager{
 		cfg:     cfg,
-		entries: make(map[string]*list.Element),
-		order:   list.New(),
+		entries: lru.New[string, *entry](cfg.MaxBytes),
 		pending: make(map[string]*Pending),
 	}
 }
@@ -154,8 +149,8 @@ func (m *Manager) Contains(uri string, need Span) bool {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	el, ok := m.entries[uri]
-	return ok && el.Value.(*entry).span.Contains(need)
+	e, ok := m.entries.Peek(uri)
+	return ok && e.span.Contains(need)
 }
 
 // Get returns a copy-on-write share of the cached batch for uri if it
@@ -168,14 +163,14 @@ func (m *Manager) Get(uri string, need Span) (*vector.Batch, bool) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	el, ok := m.entries[uri]
-	if !ok || !el.Value.(*entry).span.Contains(need) {
+	e, ok := m.entries.Peek(uri)
+	if !ok || !e.span.Contains(need) {
 		m.misses++
 		return nil, false
 	}
-	m.order.MoveToFront(el)
+	m.entries.Get(uri)
 	m.hits++
-	return el.Value.(*entry).batch.Share(), true
+	return e.batch.Share(), true
 }
 
 // Put stores mounted data. With FileGranular configuration the span is
@@ -203,18 +198,10 @@ func (m *Manager) Put(uri string, b *vector.Batch, span Span) {
 // own frozen share of b: the caller keeps mutating its handle without
 // affecting the entry, and no later handle mistake can corrupt it.
 func (m *Manager) putLocked(uri string, b *vector.Batch, span Span) {
-	if el, ok := m.entries[uri]; ok {
-		old := el.Value.(*entry)
-		m.bytes -= old.bytes
-		m.order.Remove(el)
-		delete(m.entries, uri)
-	}
 	stored := b.Share()
 	stored.Freeze()
-	e := &entry{uri: uri, batch: stored, span: span, bytes: stored.Bytes()}
-	m.entries[uri] = m.order.PushFront(e)
-	m.bytes += e.bytes
-	m.evict()
+	m.entries.Put(uri, &entry{batch: stored, span: span}, stored.Bytes())
+	m.entries.Evict(func(string, *entry) { m.evicted++ })
 }
 
 // Pending is an in-progress streaming insertion started by BeginPut: the
@@ -326,11 +313,7 @@ func (m *Manager) Drop(uri string) {
 		p.aborted = true
 		delete(m.pending, uri)
 	}
-	if el, ok := m.entries[uri]; ok {
-		m.bytes -= el.Value.(*entry).bytes
-		m.order.Remove(el)
-		delete(m.entries, uri)
-	}
+	m.entries.Remove(uri)
 	fn := m.onInvalidate
 	m.mu.Unlock()
 	// Drop means "this file changed" whether or not it was resident:
@@ -351,9 +334,7 @@ func (m *Manager) Clear() {
 		p.aborted = true
 	}
 	m.pending = make(map[string]*Pending)
-	m.entries = make(map[string]*list.Element)
-	m.order = list.New()
-	m.bytes = 0
+	m.entries.Clear()
 	fn := m.onInvalidate
 	m.mu.Unlock()
 	if fn != nil {
@@ -370,21 +351,6 @@ func (m *Manager) Stats() Stats {
 	defer m.mu.Unlock()
 	return Stats{
 		Hits: m.hits, Misses: m.misses, Evictions: m.evicted,
-		BytesResident: m.bytes, Entries: len(m.entries),
-	}
-}
-
-// evict enforces the byte budget; callers hold the lock.
-func (m *Manager) evict() {
-	if m.cfg.MaxBytes <= 0 {
-		return
-	}
-	for m.bytes > m.cfg.MaxBytes && m.order.Len() > 1 {
-		oldest := m.order.Back()
-		e := oldest.Value.(*entry)
-		m.order.Remove(oldest)
-		delete(m.entries, e.uri)
-		m.bytes -= e.bytes
-		m.evicted++
+		BytesResident: m.entries.Cost(), Entries: m.entries.Len(),
 	}
 }

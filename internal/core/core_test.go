@@ -457,13 +457,13 @@ func TestEiIndexJoinIsUsed(t *testing.T) {
 	m := testRepo(t)
 	ei := openEngine(t, m.Dir, Options{Mode: ModeEi})
 	ei.FlushCold()
-	ei.Pool().ResetStats()
+	before := ei.Pool().Stats().SeeksPayed
 	if _, err := ei.Query(query1); err != nil {
 		t.Fatal(err)
 	}
 	// Cold Ei must pay random I/O (index probes + row fetches).
-	if ei.Pool().Stats().SeeksPayed < 3 {
-		t.Errorf("cold Ei payed only %d seeks; index join apparently unused", ei.Pool().Stats().SeeksPayed)
+	if seeks := ei.Pool().Stats().SeeksPayed - before; seeks < 3 {
+		t.Errorf("cold Ei payed only %d seeks; index join apparently unused", seeks)
 	}
 }
 

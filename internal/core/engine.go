@@ -28,6 +28,7 @@ import (
 	"repro/internal/derived"
 	"repro/internal/exec"
 	"repro/internal/ingest"
+	"repro/internal/lru"
 	"repro/internal/mountsvc"
 	"repro/internal/resultcache"
 	"repro/internal/seismic"
@@ -166,7 +167,7 @@ type Engine struct {
 	// texts remembers what each SQL text QueryAs has seen compiled to
 	// (see compiledText in pipeline.go); textMu guards it.
 	textMu sync.Mutex
-	texts  map[string]compiledText
+	texts  *lru.List[string, compiledText]
 
 	// Engine-lifetime statistics-free planner counters (see stats.go).
 	statPrunedFiles     atomic.Int64
@@ -213,6 +214,7 @@ func Open(opts Options) (*Engine, error) {
 		opts: opts, clock: clock, pool: pool, store: store,
 		cat: cat, reg: reg, adapter: opts.Adapter,
 		cache: cache.New(opts.Cache),
+		texts: lru.New[string, compiledText](maxCompiledTexts),
 	}
 	if opts.EnableDerived {
 		e.derived = derived.NewStore()

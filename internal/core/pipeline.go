@@ -36,8 +36,9 @@ func (e *Engine) Prepare(sqlText string) (*Prepared, error) {
 
 // PrepareAs is Prepare with an execution identity: ctx cancels the
 // query's waits on the mount admission budget, and session is the
-// identity its mounts and result-cache stores are attributed to in the
-// engine's per-session statistics.
+// identity its mounts are attributed to in the mount service's
+// per-session statistics and its result-cache stores are recorded
+// under.
 func (e *Engine) PrepareAs(ctx context.Context, session, sqlText string) (*Prepared, error) {
 	// parse
 	stmt, err := sql.Parse(sqlText)
@@ -119,8 +120,9 @@ func (e *Engine) Query(sqlText string) (*Result, error) {
 // QueryAs is Query under an execution identity: ctx unblocks the query
 // promptly if it is cancelled while waiting on the mount admission
 // budget (holding nothing it never acquired), and session is the
-// accounting identity its mounts and result-cache stores are charged to
-// in the per-session statistics.
+// accounting identity its mounts are charged to in the mount service's
+// per-session statistics and its result-cache stores are recorded
+// under.
 func (e *Engine) QueryAs(ctx context.Context, session, sqlText string) (*Result, error) {
 	if e.results == nil {
 		p, err := e.PrepareAs(ctx, session, sqlText)
@@ -209,23 +211,21 @@ type compiledText struct {
 	sub *plan.SubsumptionInfo
 }
 
-// maxCompiledTexts bounds Engine.texts; a full map is dropped whole.
+// maxCompiledTexts bounds Engine.texts, least recently used text out
+// first.
 const maxCompiledTexts = 4096
 
 func (e *Engine) compiledText(sqlText string) (compiledText, bool) {
 	e.textMu.Lock()
 	defer e.textMu.Unlock()
-	ct, ok := e.texts[sqlText]
-	return ct, ok
+	return e.texts.Get(sqlText)
 }
 
 func (e *Engine) rememberText(sqlText string, ct compiledText) {
 	e.textMu.Lock()
 	defer e.textMu.Unlock()
-	if e.texts == nil || len(e.texts) >= maxCompiledTexts {
-		e.texts = make(map[string]compiledText)
-	}
-	e.texts[sqlText] = ct
+	e.texts.Put(sqlText, ct, 1)
+	e.texts.Evict(nil)
 }
 
 // probeResultCache is the pipeline's probe stage: a current-epoch entry

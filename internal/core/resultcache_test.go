@@ -482,11 +482,18 @@ func TestRepeatedTextIsNotCompiledAgain(t *testing.T) {
 		t.Fatal("a text that does not compile was remembered")
 	}
 
-	// The memo is bounded: filling it drops it and starts over.
+	// The memo is bounded: one text past the bound evicts the least
+	// recently used one and keeps the rest.
 	for i := 0; i <= maxCompiledTexts; i++ {
 		eng.rememberText(fmt.Sprint("text ", i), compiledText{})
 	}
-	if n := len(eng.texts); n == 0 || n > maxCompiledTexts {
-		t.Fatalf("memo holds %d texts, bound is %d", n, maxCompiledTexts)
+	if n := eng.texts.Len(); n != maxCompiledTexts {
+		t.Fatalf("memo holds %d texts, want %d", n, maxCompiledTexts)
+	}
+	if _, ok := eng.texts.Peek("text 0"); ok {
+		t.Fatal("the least recently used text survived the bound")
+	}
+	if _, ok := eng.texts.Peek("text 1"); !ok {
+		t.Fatal("the bound evicted more than one text")
 	}
 }

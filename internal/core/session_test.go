@@ -2,7 +2,10 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -76,19 +79,29 @@ func TestQueryAsCancelledBeforeMount(t *testing.T) {
 }
 
 // TestResultCacheStoresAttributedToSession: stores land on the leader's
-// session in the result cache's per-session accounting.
+// session, which the result cache records as the storing client in its
+// restart manifest.
 func TestResultCacheStoresAttributedToSession(t *testing.T) {
 	m := testRepo(t)
-	eng := openEngine(t, m.Dir, Options{Mode: ModeALi, ResultCacheBytes: -1})
+	spill := t.TempDir()
+	eng := openEngine(t, m.Dir, Options{Mode: ModeALi, ResultCacheBytes: -1, SpillDir: spill})
 	if _, err := eng.QueryAs(context.Background(), "dashboard", query1); err != nil {
 		t.Fatal(err)
 	}
-	st := eng.ResultCache().Stats()
-	ss, ok := st.PerSession["dashboard"]
-	if !ok || ss.HeldBytes == 0 {
-		t.Fatalf("stored result not attributed to its session: %+v", st.PerSession)
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if st.BytesResident != ss.HeldBytes {
-		t.Errorf("resident %d != session-held %d with one session", st.BytesResident, ss.HeldBytes)
+	data, err := os.ReadFile(filepath.Join(spill, "results", "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man struct {
+		Entries []struct{ Session string }
+	}
+	if err := json.Unmarshal(data, &man); err != nil {
+		t.Fatal(err)
+	}
+	if len(man.Entries) != 1 || man.Entries[0].Session != "dashboard" {
+		t.Fatalf("stored result not attributed to its session: %s", data)
 	}
 }

@@ -522,7 +522,7 @@ func TestModeledIOChargedOncePerFlight(t *testing.T) {
 	close(ad.gate)
 	drain(t, c1)
 	drain(t, c2)
-	if got := pool.Stats().PagesRead; got != 3 {
+	if got := pool.Stats().Misses; got != 3 {
 		t.Errorf("pages read = %d, want 3 (one flight, one touch)", got)
 	}
 }

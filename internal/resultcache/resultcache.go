@@ -11,25 +11,22 @@
 //     aliases, foldable constants) onto one plan.Fingerprint, so a zoom
 //     session re-issuing the same query in different shapes keeps
 //     hitting one entry.
-//   - Invalidation epochs: every entry is stamped with the epoch current
-//     at store time, and only current-epoch entries are served. A repo or
-//     ingestion-cache change bumps the epoch (the engine wires the hook),
-//     atomically invalidating every retained result. An execution that
-//     straddles the bump publishes to the riders that joined it before
-//     the bump but is not retained — and a query arriving after the bump
-//     neither serves stale entries nor rides stale flights: it has
-//     observed "the data changed" and re-executes.
+//   - Invalidation epochs: a result is stored only under the epoch its
+//     execution began in, and only current-epoch entries are served. A
+//     repo or ingestion-cache change bumps the epoch (the engine wires
+//     the hook), atomically invalidating every retained result. An
+//     execution that straddles the bump publishes to the riders that
+//     joined it before the bump but is not retained — and a query
+//     arriving after the bump neither serves stale entries nor rides
+//     stale flights: it has observed "the data changed" and re-executes.
 //   - Query-granular single-flight: concurrent identical queries
 //     coalesce onto one execution, mirroring the mount service's flights
 //     one layer up — the leader executes, riders block and then receive
 //     shares of the frozen result, paying O(1) instead of a full Qf+Qs
 //     execution each.
 //   - Byte-budget LRU: resident results are accounted with Batch.Bytes
-//     and evicted least-recently-served first. Each entry's bytes are
-//     also charged to its storing session through the engine's shared
-//     admission abstraction (internal/admission, the same gate type
-//     behind the mount budget), so Stats breaks residency down by
-//     session.
+//     and evicted least-recently-served first (internal/lru, the
+//     engine's one LRU).
 //   - Cost-gated admission: a result whose recompute cost signal (the
 //     engine passes the breakpoint's cardinality-derived estimate or the
 //     measured modeled time, whichever is larger) falls below the
@@ -49,14 +46,13 @@
 package resultcache
 
 import (
-	"container/list"
 	"errors"
 	"os"
 	"sync"
 	"time"
 
-	"repro/internal/admission"
 	"repro/internal/exec"
+	"repro/internal/lru"
 	"repro/internal/plan"
 	"repro/internal/storage"
 )
@@ -113,10 +109,6 @@ type Stats struct {
 	BytesOnDisk   int64
 	DiskEntries   int
 	Epoch         uint64
-	// PerSession breaks resident bytes and stores down by the session
-	// that stored each entry (see admission.SessionStats; Acquires
-	// counts stores, HeldBytes the session's resident bytes).
-	PerSession map[string]admission.SessionStats
 }
 
 // Outcome reports how a Do call was satisfied.
@@ -136,27 +128,19 @@ type Outcome struct {
 type Cache struct {
 	cfg Config
 
-	// gate accounts resident bytes per session: entries are charged to
-	// their storing session (Charge — stores are never blocked; the
-	// budget drives eviction instead) and released on evict/invalidate.
-	gate *admission.Gate
-
 	mu      sync.Mutex
 	epoch   uint64
-	entries map[plan.Fingerprint]*list.Element
-	order   *list.List // front = most recently served
 	flights map[plan.Fingerprint]*flight
-	bytes   int64
 
-	// Disk tier (spill.go): spilled entries keep their c.entries slot but
-	// their element lives in diskOrder (front = most recently demoted)
-	// and their bytes count against diskBytes, not bytes or the gate.
-	diskOrder *list.List
-	diskBytes int64
+	// The two tiers, each entry in exactly one and costing its bytes:
+	// res holds resident entries by served recency, disk (spill.go) the
+	// spilled ones by demotion recency. Every entry is of the current
+	// epoch: BumpEpoch empties both.
+	res, disk *lru.List[plan.Fingerprint, *entry]
 
 	// subindex is the secondary semantic index: subsumption bucket →
-	// fingerprints of resident entries carrying that key. Only entries
-	// stored with a non-nil summary appear.
+	// fingerprints of entries (either tier) carrying that key. Only
+	// entries stored with a non-nil summary appear.
 	subindex map[plan.SubsumptionKey]map[plan.Fingerprint]struct{}
 
 	hits, misses, riders int64
@@ -173,10 +157,9 @@ type Cache struct {
 
 type entry struct {
 	fp      plan.Fingerprint
-	session string
+	session string             // the storing client, recorded in the manifest
 	mat     *exec.Materialized // nil while spilled to disk
 	bytes   int64
-	epoch   uint64
 	cost    time.Duration         // recompute-cost signal it was admitted with
 	sub     *plan.SubsumptionInfo // nil: not semantically indexed
 	path    string                // spill file; non-empty marks the entry spilled
@@ -198,13 +181,11 @@ type flight struct {
 // previous Close is loaded and its entries served from disk.
 func New(cfg Config) *Cache {
 	c := &Cache{
-		cfg:       cfg,
-		gate:      admission.New(admission.Config{}),
-		entries:   make(map[plan.Fingerprint]*list.Element),
-		order:     list.New(),
-		flights:   make(map[plan.Fingerprint]*flight),
-		subindex:  make(map[plan.SubsumptionKey]map[plan.Fingerprint]struct{}),
-		diskOrder: list.New(),
+		cfg:      cfg,
+		flights:  make(map[plan.Fingerprint]*flight),
+		res:      lru.New[plan.Fingerprint, *entry](cfg.MaxBytes),
+		disk:     lru.New[plan.Fingerprint, *entry](cfg.DiskMaxBytes),
+		subindex: make(map[plan.SubsumptionKey]map[plan.Fingerprint]struct{}),
 	}
 	if c.spillEnabled() {
 		os.MkdirAll(cfg.SpillDir, 0o755)
@@ -234,22 +215,13 @@ func (c *Cache) BumpEpoch() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.epoch++
-	c.invalidated += int64(len(c.entries))
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*entry)
-		c.gate.Release(e.session, e.bytes)
-	}
+	c.invalidated += int64(c.res.Len() + c.disk.Len())
 	// The disk tier invalidates with everything else: pre-change results
 	// must not survive to warm a post-change process either.
-	for el := c.diskOrder.Front(); el != nil; el = el.Next() {
-		os.Remove(el.Value.(*entry).path)
-	}
-	c.entries = make(map[plan.Fingerprint]*list.Element)
-	c.order = list.New()
-	c.diskOrder = list.New()
+	c.disk.All(func(_ plan.Fingerprint, e *entry) { os.Remove(e.path) })
+	c.res.Clear()
+	c.disk.Clear()
 	c.subindex = make(map[plan.SubsumptionKey]map[plan.Fingerprint]struct{})
-	c.bytes = 0
-	c.diskBytes = 0
 }
 
 // Get returns the frozen entry for a fingerprint at the current epoch.
@@ -273,17 +245,31 @@ func (c *Cache) Get(fp plan.Fingerprint) (*exec.Materialized, bool) {
 }
 
 func (c *Cache) getLocked(fp plan.Fingerprint) (*exec.Materialized, bool) {
-	el, ok := c.entries[fp]
-	if !ok || el.Value.(*entry).epoch != c.epoch {
-		return nil, false
+	if e, ok := c.entryLocked(fp); ok {
+		return c.serveLocked(e)
 	}
-	if el.Value.(*entry).path != "" {
-		// Spilled: a hit promotes the entry back to the resident tier (a
-		// corrupt spill file drops it and the probe is a miss).
-		return c.promoteLocked(el)
+	return nil, false
+}
+
+// entryLocked finds fp's entry in whichever tier holds it.
+func (c *Cache) entryLocked(fp plan.Fingerprint) (*entry, bool) {
+	if e, ok := c.res.Peek(fp); ok {
+		return e, true
 	}
-	c.order.MoveToFront(el)
-	return el.Value.(*entry).mat, true
+	return c.disk.Peek(fp)
+}
+
+// serveLocked returns a hit entry's materialization. A spilled entry is
+// promoted back to the resident tier (a corrupt spill file drops it and
+// the probe is a miss); a resident one becomes the most recently
+// served.
+func (c *Cache) serveLocked(e *entry) (*exec.Materialized, bool) {
+	if e.path != "" {
+		c.disk.Remove(e.fp)
+		return c.promoteLocked(e)
+	}
+	c.res.Get(e.fp)
+	return e.mat, true
 }
 
 // SubsumeHit describes a wider entry found by GetSubsuming: whose
@@ -320,36 +306,21 @@ func (c *Cache) GetSubsuming(fp plan.Fingerprint, sub *plan.SubsumptionInfo) (Su
 	// A spilled candidate can lose to promotion (corrupt file) and drop
 	// out; re-select until a candidate survives or none remain.
 	for {
-		var best *list.Element
+		var best *entry
 		for cand := range c.subindex[sub.Key] {
-			el, ok := c.entries[cand]
-			if !ok {
-				continue
-			}
-			e := el.Value.(*entry)
-			if e.epoch != c.epoch || e.fp == fp || !plan.Subsumes(e.sub, sub) {
-				continue
-			}
-			if best == nil || e.bytes < best.Value.(*entry).bytes {
-				best = el
+			e, ok := c.entryLocked(cand)
+			if ok && e.fp != fp && plan.Subsumes(e.sub, sub) && (best == nil || e.bytes < best.bytes) {
+				best = e
 			}
 		}
 		if best == nil {
 			return SubsumeHit{}, false
 		}
-		e := best.Value.(*entry)
-		if e.path != "" {
-			//lint:allow lockcheck spill promotion is serialized under c.mu by design: an entry's tier state must not change between probe and load (see spill.go)
-			mat, ok := c.promoteLocked(best)
-			if !ok {
-				continue
-			}
+		//lint:allow lockcheck spill promotion is serialized under c.mu by design: an entry's tier state must not change between probe and load (see spill.go)
+		if mat, ok := c.serveLocked(best); ok {
 			c.subHits++
-			return SubsumeHit{Fp: e.fp, Mat: mat, Bytes: e.bytes, Cost: e.cost}, true
+			return SubsumeHit{Fp: best.fp, Mat: mat, Bytes: best.bytes, Cost: best.cost}, true
 		}
-		c.order.MoveToFront(best)
-		c.subHits++
-		return SubsumeHit{Fp: e.fp, Mat: e.mat, Bytes: e.bytes, Cost: e.cost}, true
 	}
 }
 
@@ -366,7 +337,7 @@ func (c *Cache) NoteRefilter(wall time.Duration, saved int64) {
 }
 
 // Put retains a completed result under the current epoch, subject to the
-// cost-admission floor, charged to the storing session. The entry holds
+// cost-admission floor; session names the storing client. The entry holds
 // the materialization frozen: the caller keeps its handle and any later
 // mutation on either side materializes a private copy. A non-nil sub
 // additionally indexes the entry for semantic (subsumption) probes.
@@ -406,80 +377,72 @@ func (c *Cache) admitLocked(fp plan.Fingerprint, session string, mat *exec.Mater
 		return false
 	}
 	mat.Freeze()
-	c.putLocked(fp, session, mat, c.epoch, cost, sub)
+	c.putLocked(&entry{fp: fp, session: session, mat: mat, bytes: matBytes(mat), cost: cost, sub: sub, schema: mat.Schema})
 	c.stores++
 	return true
 }
 
-func (c *Cache) putLocked(fp plan.Fingerprint, session string, mat *exec.Materialized, epoch uint64, cost time.Duration, sub *plan.SubsumptionInfo) {
-	if el, ok := c.entries[fp]; ok {
-		c.removeLocked(el)
+// putLocked stores a resident entry, replacing whatever either tier held
+// under its fingerprint.
+func (c *Cache) putLocked(e *entry) {
+	if old, ok := c.res.Remove(e.fp); ok {
+		c.dropLocked(old)
+	} else if old, ok := c.disk.Remove(e.fp); ok {
+		c.dropLocked(old)
 	}
-	e := &entry{fp: fp, session: session, mat: mat, bytes: matBytes(mat), epoch: epoch, cost: cost, sub: sub, schema: mat.Schema}
-	c.entries[fp] = c.order.PushFront(e)
-	c.bytes += e.bytes
-	if sub != nil && !sub.Key.IsZero() {
-		bucket := c.subindex[sub.Key]
-		if bucket == nil {
-			bucket = make(map[plan.Fingerprint]struct{})
-			c.subindex[sub.Key] = bucket
-		}
-		bucket[fp] = struct{}{}
-	}
-	c.gate.Charge(session, e.bytes)
+	c.res.Put(e.fp, e, e.bytes)
+	c.indexLocked(e)
 	c.evictLocked()
 }
 
-// removeLocked drops one entry — resident (bytes go back to the gate)
-// or spilled (the spill file is deleted).
-func (c *Cache) removeLocked(el *list.Element) {
-	e := el.Value.(*entry)
-	if e.path != "" {
-		c.diskOrder.Remove(el)
-		c.diskBytes -= e.bytes
-		os.Remove(e.path)
-	} else {
-		c.order.Remove(el)
-		c.bytes -= e.bytes
-		c.gate.Release(e.session, e.bytes)
+// indexLocked adds an entry carrying a subsumption summary to the
+// semantic index.
+func (c *Cache) indexLocked(e *entry) {
+	if e.sub == nil || e.sub.Key.IsZero() {
+		return
 	}
-	delete(c.entries, e.fp)
+	bucket := c.subindex[e.sub.Key]
+	if bucket == nil {
+		bucket = make(map[plan.Fingerprint]struct{})
+		c.subindex[e.sub.Key] = bucket
+	}
+	bucket[e.fp] = struct{}{}
+}
+
+// dropLocked forgets an entry that has left its tier: a spilled entry's
+// file is deleted, and the entry leaves the semantic index.
+func (c *Cache) dropLocked(e *entry) {
+	if e.path != "" {
+		os.Remove(e.path)
+	}
 	if e.sub != nil {
-		if bucket, ok := c.subindex[e.sub.Key]; ok {
-			delete(bucket, e.fp)
-			if len(bucket) == 0 {
-				delete(c.subindex, e.sub.Key)
-			}
+		bucket := c.subindex[e.sub.Key]
+		delete(bucket, e.fp)
+		if len(bucket) == 0 {
+			delete(c.subindex, e.sub.Key)
 		}
 	}
 }
 
-// evictLocked enforces the byte budget after a store; callers hold the
-// lock. The victim is the least-recently-served entry. Like the
-// ingestion cache, a single over-budget entry is allowed to remain
-// alone. With the disk tier configured the victim is demoted to a spill
+// evictLocked enforces the resident byte budget, least recently served
+// first. With the disk tier configured a victim is demoted to a spill
 // file instead of dropped (falling back to a real eviction if the disk
 // write fails).
 func (c *Cache) evictLocked() {
-	if c.cfg.MaxBytes <= 0 {
-		return
-	}
-	for c.bytes > c.cfg.MaxBytes && c.order.Len() > 1 {
-		victim := c.order.Back()
-		if c.spillEnabled() && c.demoteLocked(victim) {
-			continue
+	c.res.Evict(func(_ plan.Fingerprint, e *entry) {
+		if !c.spillEnabled() || !c.demoteLocked(e) {
+			c.dropLocked(e)
+			c.evictions++
 		}
-		c.removeLocked(victim)
-		c.evictions++
-	}
+	})
 }
 
 // Do resolves a query through the cache with query-granular
 // single-flight: a stored current-epoch entry is served immediately; an
 // in-flight identical execution is ridden (block, then share its
 // result); otherwise compute runs as the leader and its result is
-// published to every rider and — cost and epoch permitting — retained,
-// charged to the leader's session. compute returns the materialized
+// published to every rider and — cost and epoch permitting — retained
+// under the leader's session. compute returns the materialized
 // result and its recompute-cost signal (DoNotStore declines retention).
 // A non-nil sub semantically indexes the retained entry. A nil cache
 // degenerates to calling compute.
@@ -578,10 +541,9 @@ func (c *Cache) Stats() Stats {
 		SubsumptionBytesSaved: c.subBytesSaved, RefilterWall: c.refilterWall,
 		Demotions: c.demotions, Promotions: c.promotions,
 		DiskEvictions: c.diskEvictions, WarmedFromDisk: c.warmed,
-		BytesResident: c.bytes, Entries: c.order.Len(),
-		BytesOnDisk: c.diskBytes, DiskEntries: c.diskOrder.Len(),
-		Epoch:      c.epoch,
-		PerSession: c.gate.Stats().PerSession,
+		BytesResident: c.res.Cost(), Entries: c.res.Len(),
+		BytesOnDisk: c.disk.Cost(), DiskEntries: c.disk.Len(),
+		Epoch: c.epoch,
 	}
 }
 

@@ -14,7 +14,6 @@
 package resultcache
 
 import (
-	"container/list"
 	"encoding/hex"
 	"encoding/json"
 	"math"
@@ -36,16 +35,11 @@ const spillPattern = "result-*.spill"
 // spillEnabled reports whether the disk tier is configured.
 func (c *Cache) spillEnabled() bool { return c.cfg.SpillDir != "" }
 
-func (c *Cache) diskModel() (storage.DiskModel, *storage.Clock) {
-	return c.cfg.Disk, c.cfg.Clock
-}
-
-// demoteLocked moves one resident entry (an element of c.order) to the
+// demoteLocked moves an entry that has left the resident tier to the
 // disk tier. On any I/O failure it reports false and leaves the entry
-// resident — the caller falls back to plain eviction, so a full or
+// as it was — the caller falls back to plain eviction, so a full or
 // broken disk degrades to the spill-off behavior instead of erroring.
-func (c *Cache) demoteLocked(el *list.Element) bool {
-	e := el.Value.(*entry)
+func (c *Cache) demoteLocked(e *entry) bool {
 	sf, err := storage.CreateSpillFile(c.cfg.SpillDir, spillPattern)
 	if err != nil {
 		return false
@@ -54,8 +48,7 @@ func (c *Cache) demoteLocked(el *list.Element) bool {
 	for i, ci := range e.schema {
 		kinds[i] = ci.Kind
 	}
-	model, clock := c.diskModel()
-	w := storage.NewBatchWriter(sf.File(), kinds, model, clock)
+	w := storage.NewBatchWriter(sf.File(), kinds, c.cfg.Disk, c.cfg.Clock)
 	for _, b := range e.mat.Batches {
 		if err := w.Append(b); err != nil {
 			sf.Remove()
@@ -70,76 +63,67 @@ func (c *Cache) demoteLocked(el *list.Element) bool {
 	if err != nil {
 		return false
 	}
-	c.order.Remove(el)
-	c.bytes -= e.bytes
-	c.gate.Release(e.session, e.bytes)
 	e.mat = nil
 	e.path = path
-	c.entries[e.fp] = c.diskOrder.PushFront(e)
-	c.diskBytes += e.bytes
+	c.disk.Put(e.fp, e, e.bytes)
 	c.demotions++
 	c.evictDiskLocked()
 	return true
 }
 
-// promoteLocked loads a spilled entry (an element of c.diskOrder) back
-// into the resident tier and returns its materialization. A corrupt or
+// promoteLocked loads an entry that has left the disk tier back into
+// the resident tier and returns its materialization. A corrupt or
 // missing spill file, or one whose columns are not the entry's schema,
 // drops the entry silently — the probe becomes a miss, never an error.
-func (c *Cache) promoteLocked(el *list.Element) (*exec.Materialized, bool) {
-	e := el.Value.(*entry)
-	model, clock := c.diskModel()
-	r, err := storage.OpenBatchReader(e.path, model, clock)
-	if err != nil {
-		c.removeLocked(el)
+func (c *Cache) promoteLocked(e *entry) (*exec.Materialized, bool) {
+	batches, ok := c.readSpill(e)
+	if !ok {
+		c.dropLocked(e)
 		return nil, false
 	}
+	mat := &exec.Materialized{Schema: e.schema, Batches: batches}
+	mat.Freeze()
+	os.Remove(e.path)
+	e.path = ""
+	e.mat = mat
+	e.bytes = matBytes(mat)
+	c.res.Put(e.fp, e, e.bytes)
+	c.promotions++
+	c.evictLocked()
+	return mat, true
+}
+
+// readSpill decodes a spilled entry's file, reporting false if it is
+// missing, corrupt or not of the entry's schema.
+func (c *Cache) readSpill(e *entry) ([]*vector.Batch, bool) {
+	r, err := storage.OpenBatchReader(e.path, c.cfg.Disk, c.cfg.Clock)
+	if err != nil {
+		return nil, false
+	}
+	defer r.Close()
 	if !slices.EqualFunc(r.Kinds(), e.schema, func(k vector.Kind, ci plan.ColInfo) bool { return k == ci.Kind }) {
-		r.Close()
-		c.removeLocked(el)
 		return nil, false
 	}
 	var batches []*vector.Batch
 	for {
 		b, err := r.Next()
 		if err != nil {
-			r.Close()
-			c.removeLocked(el)
 			return nil, false
 		}
 		if b == nil {
-			break
+			return batches, true
 		}
 		batches = append(batches, b)
 	}
-	r.Close()
-	mat := &exec.Materialized{Schema: e.schema, Batches: batches}
-	mat.Freeze()
-	c.diskOrder.Remove(el)
-	c.diskBytes -= e.bytes
-	os.Remove(e.path)
-	e.path = ""
-	e.mat = mat
-	e.bytes = matBytes(mat)
-	c.entries[e.fp] = c.order.PushFront(e)
-	c.bytes += e.bytes
-	c.gate.Charge(e.session, e.bytes)
-	c.promotions++
-	c.evictLocked()
-	return mat, true
 }
 
 // evictDiskLocked enforces the disk-tier byte budget, oldest demotion
-// first. Like the resident tier, a single over-budget entry may remain
-// alone.
+// first.
 func (c *Cache) evictDiskLocked() {
-	if c.cfg.DiskMaxBytes <= 0 {
-		return
-	}
-	for c.diskBytes > c.cfg.DiskMaxBytes && c.diskOrder.Len() > 1 {
-		c.removeLocked(c.diskOrder.Back())
+	c.disk.Evict(func(_ plan.Fingerprint, e *entry) {
+		c.dropLocked(e)
 		c.diskEvictions++
-	}
+	})
 }
 
 // Close demotes every resident entry to the disk tier and writes the
@@ -159,10 +143,11 @@ func (c *Cache) Close() error {
 	// Demote LRU-first: each demotion pushes to the disk tier's front, so
 	// the resident recency order is preserved on top of what had already
 	// been demoted.
-	for el := c.order.Back(); el != nil; el = c.order.Back() {
+	for fp, e, ok := c.res.Oldest(); ok; fp, e, ok = c.res.Oldest() {
+		c.res.Remove(fp)
 		//lint:allow lockcheck Close persists the whole resident tier under c.mu: shutdown demotion must not race concurrent probes (see spill.go)
-		if !c.demoteLocked(el) {
-			c.removeLocked(el) // cannot persist — drop rather than leak
+		if !c.demoteLocked(e) {
+			c.dropLocked(e) // cannot persist — drop rather than leak
 		}
 	}
 	return c.writeManifestLocked()
@@ -202,8 +187,7 @@ type manifestSub struct {
 
 func (c *Cache) writeManifestLocked() error {
 	m := manifest{Epoch: c.epoch}
-	for el := c.diskOrder.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*entry)
+	c.disk.All(func(_ plan.Fingerprint, e *entry) {
 		me := manifestEntry{
 			Fingerprint: e.fp.String(),
 			Session:     e.session,
@@ -223,7 +207,7 @@ func (c *Cache) writeManifestLocked() error {
 			}
 		}
 		m.Entries = append(m.Entries, me)
-	}
+	})
 	data, err := json.MarshalIndent(&m, "", "  ")
 	if err != nil {
 		return err
@@ -254,12 +238,12 @@ func (c *Cache) loadManifest() {
 	referenced := make(map[string]bool)
 	for _, me := range m.Entries {
 		fpB, err := hex.DecodeString(me.Fingerprint)
-		if err != nil || len(fpB) != len(plan.Fingerprint{}) || me.Bytes < 0 || me.Bytes > math.MaxInt64-c.diskBytes {
+		if err != nil || len(fpB) != len(plan.Fingerprint{}) || me.Bytes < 0 || me.Bytes > math.MaxInt64-c.disk.Cost() {
 			continue
 		}
 		var f plan.Fingerprint
 		copy(f[:], fpB)
-		if _, dup := c.entries[f]; dup {
+		if _, dup := c.disk.Peek(f); dup {
 			continue
 		}
 		name := filepath.Base(me.File)
@@ -285,8 +269,7 @@ func (c *Cache) loadManifest() {
 		}
 		e := &entry{
 			fp: f, session: me.Session, bytes: me.Bytes,
-			epoch: c.epoch, cost: time.Duration(me.CostNs),
-			path: path, schema: schema,
+			cost: time.Duration(me.CostNs), path: path, schema: schema,
 		}
 		if me.Sub != nil {
 			if kb, err := hex.DecodeString(me.Sub.Key); err == nil && len(kb) == len(plan.SubsumptionKey{}) {
@@ -295,17 +278,9 @@ func (c *Cache) loadManifest() {
 				e.sub = &plan.SubsumptionInfo{Key: key, Intervals: me.Sub.Intervals}
 			}
 		}
-		c.entries[f] = c.diskOrder.PushBack(e) // manifest order is MRU-first
-		c.diskBytes += e.bytes
-		if e.sub != nil && !e.sub.Key.IsZero() {
-			bucket := c.subindex[e.sub.Key]
-			if bucket == nil {
-				bucket = make(map[plan.Fingerprint]struct{})
-				c.subindex[e.sub.Key] = bucket
-			}
-			bucket[f] = struct{}{}
-		}
-		referenced[filepath.Base(path)] = true
+		c.disk.PutOldest(f, e, e.bytes) // manifest order is MRU-first
+		c.indexLocked(e)
+		referenced[name] = true
 		c.warmed++
 	}
 	c.sweepSpillDir(referenced)

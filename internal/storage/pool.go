@@ -1,13 +1,13 @@
 package storage
 
 import (
-	"container/list"
 	"fmt"
 	"io"
 	"os"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/lru"
 	"repro/internal/vector"
 )
 
@@ -17,13 +17,12 @@ type pageKey struct {
 	page int64
 }
 
-// PoolStats reports buffer-pool activity since the last Flush or since
-// creation.
+// PoolStats reports buffer-pool activity since creation (Flush keeps
+// the counters).
 type PoolStats struct {
 	Hits       int64
 	Misses     int64
 	Evictions  int64
-	PagesRead  int64
 	SeeksPayed int64
 }
 
@@ -43,15 +42,12 @@ type BufferPool struct {
 	mu       sync.Mutex
 	model    DiskModel
 	clock    *Clock
-	capacity int // max pages
-	pages    map[pageKey]*list.Element
-	lru      *list.List // front = most recent; values are *poolEntry
+	pages    *lru.List[pageKey, *poolEntry] // each page costs 1: the budget is the capacity
 	lastPage map[string]int64
 	stats    PoolStats
 }
 
 type poolEntry struct {
-	key   pageKey
 	data  []byte
 	chunk atomic.Pointer[vector.Vector] // data decoded and frozen; nil until ReadChunk
 }
@@ -65,9 +61,7 @@ func NewBufferPool(capPages int, model DiskModel, clock *Clock) *BufferPool {
 	return &BufferPool{
 		model:    model,
 		clock:    clock,
-		capacity: capPages,
-		pages:    make(map[pageKey]*list.Element),
-		lru:      list.New(),
+		pages:    lru.New[pageKey, *poolEntry](int64(capPages)),
 		lastPage: make(map[string]int64),
 	}
 }
@@ -86,27 +80,12 @@ func (p *BufferPool) Stats() PoolStats {
 }
 
 // Flush empties the pool (the "cold" protocol) and resets streak
-// tracking. Counters are preserved; use ResetStats to clear them.
+// tracking. Counters are preserved.
 func (p *BufferPool) Flush() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.pages = make(map[pageKey]*list.Element)
-	p.lru = list.New()
+	p.pages.Clear()
 	p.lastPage = make(map[string]int64)
-}
-
-// ResetStats zeroes the activity counters.
-func (p *BufferPool) ResetStats() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.stats = PoolStats{}
-}
-
-// CachedPages returns the number of pages currently resident.
-func (p *BufferPool) CachedPages() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.pages)
 }
 
 // ReadAt fills buf with file content at off, going through the page
@@ -178,16 +157,14 @@ func (p *BufferPool) ReadChunk(path string, f *os.File, page int64, decode func(
 func (p *BufferPool) getPage(path string, f *os.File, page int64) (*poolEntry, error) {
 	key := pageKey{path, page}
 	p.mu.Lock()
-	if el, ok := p.pages[key]; ok {
-		p.lru.MoveToFront(el)
+	if e, ok := p.pages.Get(key); ok {
 		p.stats.Hits++
 		p.mu.Unlock()
-		return el.Value.(*poolEntry), nil
+		return e, nil
 	}
 	sequential := p.lastPage[path] == page-1
 	p.lastPage[path] = page
 	p.stats.Misses++
-	p.stats.PagesRead++
 	if !sequential {
 		p.stats.SeeksPayed++
 	}
@@ -202,18 +179,12 @@ func (p *BufferPool) getPage(path string, f *os.File, page int64) (*poolEntry, e
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if el, ok := p.pages[key]; ok { // raced with another reader
-		p.lru.MoveToFront(el)
-		return el.Value.(*poolEntry), nil
+	if e, ok := p.pages.Get(key); ok { // raced with another reader
+		return e, nil
 	}
-	e := &poolEntry{key: key, data: data[:n]}
-	p.pages[key] = p.lru.PushFront(e)
-	for p.lru.Len() > p.capacity {
-		oldest := p.lru.Back()
-		p.lru.Remove(oldest)
-		delete(p.pages, oldest.Value.(*poolEntry).key)
-		p.stats.Evictions++
-	}
+	e := &poolEntry{data: data[:n]}
+	p.pages.Put(key, e, 1)
+	p.pages.Evict(func(pageKey, *poolEntry) { p.stats.Evictions++ })
 	return e, nil
 }
 
@@ -237,11 +208,10 @@ func (p *BufferPool) Touch(path string, f *os.File, size int64) error {
 func (p *BufferPool) Invalidate(path string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for key, el := range p.pages {
+	p.pages.All(func(key pageKey, _ *poolEntry) {
 		if key.path == path {
-			p.lru.Remove(el)
-			delete(p.pages, key)
+			p.pages.Remove(key)
 		}
-	}
+	})
 	delete(p.lastPage, path)
 }
