@@ -8,6 +8,7 @@
 //	explorer -repo /tmp/repo [-db /tmp/db] [-mode ali|ei] [-cache file|tuple|off]
 //	         [-resultcache MB] [-subsume] [-session name] [-nostats]
 //	         [-spilldir DIR] [-spillthreshold MB]
+//	         [-cpuprofile FILE] [-memprofile FILE]
 //
 // -subsume turns on semantic result caching: a query whose predicate is
 // provably narrower than a cached one is answered by re-filtering the
@@ -18,6 +19,10 @@
 // (with -resultcache) the result cache persists under DIR across
 // restarts — reopening the same -db and -spilldir serves repeat queries
 // without executing anything. -spillthreshold requires -spilldir.
+//
+// -cpuprofile and -memprofile write a CPU profile of the whole session,
+// engine start-up included, and an allocation profile taken when the
+// shell exits, for `go tool pprof`.
 //
 // -nostats disables statistics-free Stage-2 planning (file pruning from
 // the frozen Qf result, hash-join build sides, honest admission
@@ -44,6 +49,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strings"
 	"time"
@@ -73,6 +80,8 @@ func main() {
 		nostats  = flag.Bool("nostats", false, "disable statistics-free Stage-2 planning (pruning, build sides, honest admission)")
 		spillDir = flag.String("spilldir", "", "directory for out-of-core spill files and the persistent result cache")
 		spillMB  = flag.Int64("spillthreshold", 0, "spill a flight's replay buffer past this many MiB (requires -spilldir)")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the session to this file")
+		memProf  = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
 	flag.Parse()
 	sessionName = *sessFlag
@@ -122,10 +131,18 @@ func main() {
 	opts.SpillDir = *spillDir
 	opts.SpillThresholdBytes = *spillMB << 20
 
+	stopProfiles, err := startProfiles(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "explorer:", err)
+		os.Exit(1)
+	}
+	defer stopProfiles()
+
 	fmt.Printf("opening %s repository (%s mode)...\n", *repoDir, opts.Mode)
 	eng, err := core.Open(opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "explorer:", err)
+		stopProfiles()
 		os.Exit(1)
 	}
 	defer eng.Close()
@@ -173,6 +190,48 @@ func main() {
 		}
 		fmt.Print("explorer> ")
 	}
+}
+
+// startProfiles starts a CPU profile into cpuPath and returns the
+// function that stops it and writes an allocation profile into memPath.
+// An empty path skips that profile.
+func startProfiles(cpuPath, memPath string) (stop func(), err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "explorer: -cpuprofile:", err)
+			}
+		}
+		if memPath != "" {
+			if err := writeAllocProfile(memPath); err != nil {
+				fmt.Fprintln(os.Stderr, "explorer: -memprofile:", err)
+			}
+		}
+	}, nil
+}
+
+func writeAllocProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // bring the profile up to date with the last allocations
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // printEngineStats renders the engine-wide counters: the shared mount

@@ -395,6 +395,7 @@ type indexJoin struct {
 	rightAll *vector.Batch
 	rpos     int
 	done     bool
+	rowIDs   []int64 // the last lookup's result, reused by the next one
 }
 
 // Schema implements Operator.
@@ -422,7 +423,7 @@ func (j *indexJoin) Next() (*vector.Batch, error) {
 		if len(rowIDs) == 0 {
 			continue
 		}
-		lb, err := j.table.ReadRowsAt(j.tableCols, rowIDs)
+		lb, err := j.table.ReadRowsAt(j.tableCols, rowIDs) // retains no rowIDs
 		if err != nil {
 			return nil, err
 		}
@@ -446,9 +447,10 @@ func (j *indexJoin) Next() (*vector.Batch, error) {
 	return nil, nil
 }
 
-// lookupRow probes the index with the key values of one right row.
+// lookupRow probes the index with the key values of one right row. The
+// result lives in j.rowIDs until the next call.
 func (j *indexJoin) lookupRow(rrow int) ([]int64, error) {
-	keys := make([]int64, 2)
+	var keys [2]int64
 	for i, rk := range j.rightKeys {
 		v := j.rightAll.Cols[rk].Get(rrow)
 		switch v.Kind {
@@ -468,10 +470,13 @@ func (j *indexJoin) lookupRow(rrow int) ([]int64, error) {
 			return nil, fmt.Errorf("exec: unsupported index key kind %s", v.Kind)
 		}
 	}
+	var err error
 	if len(j.rightKeys) == 1 {
-		return j.info.Index.LookupA(keys[0])
+		j.rowIDs, err = j.info.Index.LookupA(keys[0], j.rowIDs...)
+	} else {
+		j.rowIDs, err = j.info.Index.Lookup(keys[0], keys[1], j.rowIDs...)
 	}
-	return j.info.Index.Lookup(keys[0], keys[1])
+	return j.rowIDs, err
 }
 
 // Close implements Operator.

@@ -6,7 +6,9 @@
 // pool, so a cold index pays modeled random I/O exactly the way the
 // paper describes MonetDB's foreign-key indexes being "brought into main
 // memory to compute the joins" — the effect behind Ei's cold-run times
-// in Figure 3.
+// in Figure 3. Each call reads entries through a cursor that keeps the
+// last page it fetched: steps and matches on that page make no pool
+// call, and an entry that straddles two pages is read from both.
 //
 // String keys are indexed by their dictionary codes (equality semantics
 // only), numeric and timestamp keys by value (equality and range).
@@ -130,28 +132,57 @@ func (ix *Index) SizeOnDisk() int64 { return ix.n * EntrySize }
 // Path returns the index file path.
 func (ix *Index) Path() string { return ix.path }
 
-func (ix *Index) entry(i int64) (Entry, error) {
-	var buf [EntrySize]byte
-	if err := ix.pool.ReadAt(ix.path, ix.f, buf[:], i*EntrySize); err != nil {
-		return Entry{}, fmt.Errorf("index: read entry %d of %s: %w", i, ix.path, err)
+// cursor reads the entries of one index for one call. It keeps the last
+// page it fetched, so an entry on that page costs no pool call. The page
+// is the pool frame's own immutable bytes, which stay valid after the
+// frame is evicted.
+type cursor struct {
+	ix   *Index
+	page int64 // the page data holds; -1 before the first fetch
+	data []byte
+}
+
+func (ix *Index) cursor() cursor { return cursor{ix: ix, page: -1} }
+
+// word returns the 64-bit word at byte offset off. Words are 8-aligned
+// and PageSize is a multiple of 8, so a word never straddles two pages;
+// an entry may (PageSize is not a multiple of EntrySize), so entry reads
+// it word by word.
+func (c *cursor) word(off int64) (int64, error) {
+	page, in := off/storage.PageSize, off%storage.PageSize
+	if page != c.page {
+		data, err := c.ix.pool.ReadPage(c.ix.path, c.ix.f, page)
+		if err != nil {
+			return 0, err
+		}
+		c.page, c.data = page, data
 	}
-	return Entry{
-		A:     int64(binary.LittleEndian.Uint64(buf[0:])),
-		B:     int64(binary.LittleEndian.Uint64(buf[8:])),
-		RowID: int64(binary.LittleEndian.Uint64(buf[16:])),
-	}, nil
+	if in+8 > int64(len(c.data)) {
+		return 0, fmt.Errorf("page %d holds %d bytes, need %d", page, len(c.data), in+8)
+	}
+	return int64(binary.LittleEndian.Uint64(c.data[in:])), nil
+}
+
+func (c *cursor) entry(i int64) (Entry, error) {
+	var w [3]int64
+	for k := range w {
+		var err error
+		if w[k], err = c.word(i*EntrySize + int64(k)*8); err != nil {
+			return Entry{}, fmt.Errorf("index: read entry %d of %s: %w", i, c.ix.path, err)
+		}
+	}
+	return Entry{A: w[0], B: w[1], RowID: w[2]}, nil
 }
 
 // lowerBound returns the first position whose entry is >= (a, b) under
 // (A, B) ordering with RowID ignored (pass math.MinInt64 semantics via b).
-func (ix *Index) lowerBound(a, b int64) (int64, error) {
-	lo, hi := int64(0), ix.n
+func (c *cursor) lowerBound(a, b int64) (int64, error) {
 	var outerErr error
-	pos := lo + int64(sort.Search(int(hi-lo), func(i int) bool {
+	pos := int64(sort.Search(int(c.ix.n), func(i int) bool {
 		if outerErr != nil {
 			return true
 		}
-		e, err := ix.entry(lo + int64(i))
+		e, err := c.entry(int64(i))
 		if err != nil {
 			outerErr = err
 			return true
@@ -164,76 +195,60 @@ func (ix *Index) lowerBound(a, b int64) (int64, error) {
 	return pos, outerErr
 }
 
-// Lookup returns the rowIDs of all entries with key exactly (a, b).
-func (ix *Index) Lookup(a, b int64) ([]int64, error) {
-	pos, err := ix.lowerBound(a, b)
+// scan returns the rowIDs of the run of entries that starts at the first
+// entry >= (a, b) and lasts while in holds. They overwrite dst's contents
+// and reuse its backing array when it has room.
+func (ix *Index) scan(a, b int64, dst []int64, in func(Entry) bool) ([]int64, error) {
+	c := ix.cursor()
+	pos, err := c.lowerBound(a, b)
 	if err != nil {
 		return nil, err
 	}
-	var out []int64
+	out := dst[:0]
 	for ; pos < ix.n; pos++ {
-		e, err := ix.entry(pos)
+		e, err := c.entry(pos)
 		if err != nil {
 			return nil, err
 		}
-		if e.A != a || e.B != b {
+		if !in(e) {
 			break
 		}
 		out = append(out, e.RowID)
 	}
 	return out, nil
+}
+
+const minB = -1 << 63
+
+// Lookup returns the rowIDs of all entries with key exactly (a, b), in
+// rowID order. A caller that probes repeatedly passes its previous
+// result back, as in rows, err = ix.Lookup(a, b, rows...): the rowIDs
+// overwrite it and reuse its backing array when it has room.
+func (ix *Index) Lookup(a, b int64, dst ...int64) ([]int64, error) {
+	return ix.scan(a, b, dst, func(e Entry) bool { return e.A == a && e.B == b })
 }
 
 // LookupA returns the rowIDs of all entries whose first key equals a,
-// regardless of B (prefix lookup, used for single-column FK joins).
-func (ix *Index) LookupA(a int64) ([]int64, error) {
-	const minB = -1 << 63
-	pos, err := ix.lowerBound(a, minB)
-	if err != nil {
-		return nil, err
-	}
-	var out []int64
-	for ; pos < ix.n; pos++ {
-		e, err := ix.entry(pos)
-		if err != nil {
-			return nil, err
-		}
-		if e.A != a {
-			break
-		}
-		out = append(out, e.RowID)
-	}
-	return out, nil
+// regardless of B (prefix lookup, used for single-column FK joins). dst
+// is reused as in Lookup.
+func (ix *Index) LookupA(a int64, dst ...int64) ([]int64, error) {
+	return ix.scan(a, minB, dst, func(e Entry) bool { return e.A == a })
 }
 
 // RangeA returns the rowIDs of all entries with lo <= A <= hi, used for
-// range predicates on sorted numeric/time keys.
-func (ix *Index) RangeA(lo, hi int64) ([]int64, error) {
-	const minB = -1 << 63
-	pos, err := ix.lowerBound(lo, minB)
-	if err != nil {
-		return nil, err
-	}
-	var out []int64
-	for ; pos < ix.n; pos++ {
-		e, err := ix.entry(pos)
-		if err != nil {
-			return nil, err
-		}
-		if e.A > hi {
-			break
-		}
-		out = append(out, e.RowID)
-	}
-	return out, nil
+// range predicates on sorted numeric/time keys. dst is reused as in
+// Lookup.
+func (ix *Index) RangeA(lo, hi int64, dst ...int64) ([]int64, error) {
+	return ix.scan(lo, minB, dst, func(e Entry) bool { return e.A <= hi })
 }
 
 // Unique reports whether every key (A, B) appears at most once; primary
 // key indexes must be unique and ingestion validates this invariant.
 func (ix *Index) Unique() (bool, error) {
+	c := ix.cursor()
 	var prev Entry
 	for i := int64(0); i < ix.n; i++ {
-		e, err := ix.entry(i)
+		e, err := c.entry(i)
 		if err != nil {
 			return false, err
 		}

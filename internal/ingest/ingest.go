@@ -231,15 +231,7 @@ func LoadEagerParallel(store *storage.Store, ad catalog.FormatAdapter, repoDir s
 				return mountedFile{}, err
 			}
 			// Model reading the full compressed file through the page cache.
-			f, err := os.Open(path)
-			if err != nil {
-				return mountedFile{}, fmt.Errorf("ingest: load %s: %w", uris[i], err)
-			}
-			touchErr := pool.Touch(path, f, st.Size())
-			f.Close()
-			if touchErr != nil {
-				return mountedFile{}, touchErr
-			}
+			pool.Touch(path, st.Size())
 			batch, err := ad.Mount(path, uris[i], nil)
 			if err != nil {
 				return mountedFile{}, err

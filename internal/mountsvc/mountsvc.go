@@ -389,22 +389,13 @@ func (s *Service) run(f *flight, req Request, path string, size int64) {
 		return
 	}
 
-	// Model the cost of reading the external file by pulling its pages
-	// through the buffer pool: a cold mount pays seek+transfer, a hot
-	// repeat is free (the paper's hot protocol has the file in the OS
-	// page cache). Single-flight means concurrent queries pay it once.
+	// Model the cost of reading the external file by touching its pages
+	// in the buffer pool: a cold mount pays seek+transfer, a hot repeat
+	// is free (the paper's hot protocol has the file in the OS page
+	// cache). Touch reads no bytes; the adapter below reads the file
+	// once. Single-flight means concurrent queries pay it once.
 	if s.cfg.Pool != nil {
-		fh, err := os.Open(path)
-		if err != nil {
-			finish(fmt.Errorf("mountsvc: mount %s: %w", f.uri, err))
-			return
-		}
-		touchErr := s.cfg.Pool.Touch(path, fh, size)
-		fh.Close()
-		if touchErr != nil {
-			finish(fmt.Errorf("mountsvc: mount %s: %w", f.uri, touchErr))
-			return
-		}
+		s.cfg.Pool.Touch(path, size)
 	}
 
 	// Record pruning from the flight span (disabled for full-span

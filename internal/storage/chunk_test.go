@@ -216,8 +216,9 @@ func chunkReadsMatchFileBytes(t *testing.T, dir string) {
 }
 
 // chunkIOMatchesByteReads replays the same reads through the chunk path
-// and as plain byte-range ReadAt calls, each over a fresh pool with its
-// own clock, once with a pool smaller than the table.
+// and as plain ReadPage calls over the same byte ranges, each over a
+// fresh pool with its own clock, once with a pool smaller than the
+// table.
 func chunkIOMatchesByteReads(t *testing.T, dir string) {
 	for _, capPages := range []int{1024, 6} {
 		var chunkClock, byteClock Clock
@@ -235,9 +236,10 @@ func chunkIOMatchesByteReads(t *testing.T, dir string) {
 		}
 		readBytes := func(c int, from, to int64) {
 			w := int64(diskWidth(tbl.Columns()[c].Kind))
-			buf := make([]byte, (to-from)*w)
-			if err := bytePool.ReadAt(tbl.colPath(c), files[c], buf, from*w); err != nil {
-				t.Fatal(err)
+			for page := from * w / PageSize; from < to && page*PageSize < to*w; page++ {
+				if _, err := bytePool.ReadPage(tbl.colPath(c), files[c], page); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		rng := rand.New(rand.NewSource(2))

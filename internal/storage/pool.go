@@ -36,8 +36,10 @@ type PoolStats struct {
 // each page is decoded at most once while it stays resident. Capacity
 // is still counted in pages, but a resident column page costs its bytes
 // plus a chunk of the same size for fixed-width kinds, or twice the size
-// for VARCHAR (16-byte string headers over the 8-byte codes). Index
-// files and Touch read bytes only.
+// for VARCHAR (16-byte string headers over the 8-byte codes). An index
+// page keeps its bytes only (ReadPage). Touch reads no bytes at all: a
+// page it charges holds its place in the pool, at cost 1, in a frame
+// with no bytes.
 type BufferPool struct {
 	mu       sync.Mutex
 	model    DiskModel
@@ -47,10 +49,19 @@ type BufferPool struct {
 	stats    PoolStats
 }
 
+// poolEntry is one frame. A published frame is never mutated: readers
+// use data without holding the pool's lock, so a frame is filled or
+// refreshed by replacing it.
 type poolEntry struct {
 	data  []byte
 	chunk atomic.Pointer[vector.Vector] // data decoded and frozen; nil until ReadChunk
 }
+
+// touchFrame is the frame Touch leaves for a page it charged: the page
+// is resident in the model but holds no bytes. Every such page shares
+// it, and getPage never returns it: a data read that finds it counts a
+// hit, reads the page and replaces the frame.
+var touchFrame = &poolEntry{}
 
 // NewBufferPool returns a pool holding at most capPages pages. The clock
 // may be nil, in which case no I/O time is modeled.
@@ -88,47 +99,21 @@ func (p *BufferPool) Flush() {
 	p.lastPage = make(map[string]int64)
 }
 
-// ReadAt fills buf with file content at off, going through the page
-// cache. f must be an open handle on path. It charges the disk model for
-// every page that misses, with seeks charged only on non-sequential
-// access patterns per file.
-func (p *BufferPool) ReadAt(path string, f *os.File, buf []byte, off int64) error {
-	n := int64(len(buf))
-	if n == 0 {
-		return nil
+// ReadPage returns the bytes of page of path, going through the same
+// hit, miss, seek and LRU accounting as ReadChunk. f must be an open
+// handle on path. The slice is the resident frame's own and immutable:
+// callers read it and never write it, and may keep reading it after the
+// page leaves the pool. The last page of a file is short.
+func (p *BufferPool) ReadPage(path string, f *os.File, page int64) ([]byte, error) {
+	e, err := p.getPage(path, f, page)
+	if err != nil {
+		return nil, err
 	}
-	for done := int64(0); done < n; {
-		pos := off + done
-		page := pos / PageSize
-		inPage := pos % PageSize
-		want := PageSize - inPage
-		if rem := n - done; rem < want {
-			want = rem
-		}
-		e, err := p.getPage(path, f, page)
-		if err != nil {
-			return err
-		}
-		data := e.data
-		if int64(len(data)) < inPage {
-			return fmt.Errorf("storage: short page %d of %s: have %d bytes, need offset %d",
-				page, path, len(data), inPage)
-		}
-		avail := int64(len(data)) - inPage
-		if avail < want {
-			want = avail
-		}
-		if want <= 0 {
-			return io.ErrUnexpectedEOF
-		}
-		copy(buf[done:done+want], data[inPage:inPage+want])
-		done += want
-	}
-	return nil
+	return e.data, nil
 }
 
 // ReadChunk returns page of path decoded by decode and frozen, going
-// through the same hit, miss, seek and LRU accounting as ReadAt. The
+// through the same hit, miss, seek and LRU accounting as ReadPage. The
 // first read of a resident page decodes it; later reads get the same
 // frozen chunk until the page leaves the pool (Flush, Invalidate or
 // eviction drop the chunk with the page). Callers hand out Slice/Share
@@ -157,16 +142,19 @@ func (p *BufferPool) ReadChunk(path string, f *os.File, page int64, decode func(
 func (p *BufferPool) getPage(path string, f *os.File, page int64) (*poolEntry, error) {
 	key := pageKey{path, page}
 	p.mu.Lock()
-	if e, ok := p.pages.Get(key); ok {
+	e, hit := p.pages.Get(key)
+	if hit {
 		p.stats.Hits++
-		p.mu.Unlock()
-		return e, nil
+		if e != touchFrame {
+			p.mu.Unlock()
+			return e, nil
+		}
 	}
-	sequential := p.lastPage[path] == page-1
-	p.lastPage[path] = page
-	p.stats.Misses++
-	if !sequential {
-		p.stats.SeeksPayed++
+	// A miss, or a hit on a frame Touch left: that page is resident in
+	// the model, so it is not charged again, but its bytes are read here.
+	sequential := false
+	if !hit {
+		sequential = p.missLocked(path, page)
 	}
 	p.mu.Unlock()
 
@@ -175,32 +163,70 @@ func (p *BufferPool) getPage(path string, f *os.File, page int64) (*poolEntry, e
 	if err != nil && err != io.EOF {
 		return nil, fmt.Errorf("storage: read page %d of %s: %w", page, path, err)
 	}
-	p.model.ChargeRead(p.clock, 1, sequential)
+	if !hit {
+		p.model.ChargeRead(p.clock, 1, sequential)
+	}
+	e = &poolEntry{data: data[:n]}
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if e, ok := p.pages.Get(key); ok { // raced with another reader
-		return e, nil
+	cur, ok := p.pages.Get(key)
+	if ok && cur != touchFrame { // raced with another data reader
+		return cur, nil
 	}
-	e := &poolEntry{data: data[:n]}
-	p.pages.Put(key, e, 1)
-	p.pages.Evict(func(pageKey, *poolEntry) { p.stats.Evictions++ })
+	if ok || !hit { // replace a Touch frame, or admit the missed page
+		p.admitLocked(key, e)
+	}
+	// Otherwise the Touch frame was evicted while we read: e is ours alone.
 	return e, nil
 }
 
-// Touch pulls the first size bytes of the file through the page cache
-// without returning data. It models reading an external repository file:
-// pages already resident (a "hot" run, where the OS page cache would
-// hold the file) cost nothing; missing pages are charged to the disk
-// model. Flush evicts these pages like any others, restoring the cold
+// missLocked counts a miss of page and reports whether it continues a
+// sequential run of path, in which case it needs no seek.
+func (p *BufferPool) missLocked(path string, page int64) (sequential bool) {
+	sequential = p.lastPage[path] == page-1
+	p.lastPage[path] = page
+	p.stats.Misses++
+	if !sequential {
+		p.stats.SeeksPayed++
+	}
+	return sequential
+}
+
+// admitLocked makes e the frame of key and evicts down to capacity.
+// Replacing a frame keeps the cost, so it evicts nothing.
+func (p *BufferPool) admitLocked(key pageKey, e *poolEntry) {
+	p.pages.Put(key, e, 1)
+	p.pages.Evict(func(pageKey, *poolEntry) { p.stats.Evictions++ })
+}
+
+// Touch models reading the first size bytes of an external repository
+// file through the page cache, without reading them: pages already
+// resident (a "hot" run, where the OS page cache would hold the file)
+// cost nothing; a missing page is charged to the disk model and leaves
+// a frame without bytes that holds its place in the pool like any
+// other. Flush evicts these pages like any others, restoring the cold
 // cost.
-func (p *BufferPool) Touch(path string, f *os.File, size int64) error {
+func (p *BufferPool) Touch(path string, size int64) {
 	for page := int64(0); page*PageSize < size; page++ {
-		if _, err := p.getPage(path, f, page); err != nil {
-			return err
+		if missed, sequential := p.touchPage(pageKey{path, page}); missed {
+			p.model.ChargeRead(p.clock, 1, sequential)
 		}
 	}
-	return nil
+}
+
+// touchPage counts Touch's visit to one page and, on a miss, admits the
+// frame without bytes; the caller charges the miss outside the lock.
+func (p *BufferPool) touchPage(key pageKey) (missed, sequential bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if _, ok := p.pages.Get(key); ok {
+		p.stats.Hits++
+		return false, false
+	}
+	sequential = p.missLocked(key.path, key.page)
+	p.admitLocked(key, touchFrame)
+	return true, sequential
 }
 
 // Invalidate drops all cached pages of the given file, used when a file

@@ -198,7 +198,7 @@ func (t *Table) ReadBatch(cols []int, from, to int64) (*vector.Batch, error) {
 // column, it reads each maximal run of consecutive row IDs as one
 // ReadColumn range, so every column file sees the page sequence a
 // row-at-a-time read would, and concatenates the runs when there is more
-// than one.
+// than one. It does not retain rowIDs: callers may reuse the slice.
 func (t *Table) ReadRowsAt(cols []int, rowIDs []int64) (*vector.Batch, error) {
 	var runs [][2]int64
 	for lo := 0; lo < len(rowIDs); {
