@@ -14,8 +14,10 @@
 // provably narrower than a cached one is answered by re-filtering the
 // frozen entry in memory, mounting nothing. It requires -resultcache.
 //
-// -spilldir turns on out-of-core execution: flight replay buffers
-// larger than -spillthreshold MiB spill to temp files under DIR, and
+// -spilldir turns on out-of-core execution: a mount flight keeps a
+// window of -spillthreshold MiB, waits for its reading cursors past it,
+// and spills what a joiner still on its prefix pins to temp files under
+// DIR, and
 // (with -resultcache) the result cache persists under DIR across
 // restarts — reopening the same -db and -spilldir serves repeat queries
 // without executing anything. -spillthreshold requires -spilldir.
@@ -79,7 +81,7 @@ func main() {
 		sessFlag = flag.String("session", "explorer", "session identity for the mount service's per-session admission stats")
 		nostats  = flag.Bool("nostats", false, "disable statistics-free Stage-2 planning (pruning, build sides, honest admission)")
 		spillDir = flag.String("spilldir", "", "directory for out-of-core spill files and the persistent result cache")
-		spillMB  = flag.Int64("spillthreshold", 0, "spill a flight's replay buffer past this many MiB (requires -spilldir)")
+		spillMB  = flag.Int64("spillthreshold", 0, "window size of a mount flight in MiB: past it the extraction waits for its readers and spills what a joiner still on its prefix pins (requires -spilldir)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the session to this file")
 		memProf  = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)

@@ -81,10 +81,12 @@ type Options struct {
 	// default) selects runtime.GOMAXPROCS(0); 1 forces the sequential
 	// paths. Query results are identical at every setting.
 	Parallelism int
-	// MountBudgetBytes bounds the total repository-file bytes being
-	// extracted at once ACROSS all concurrent queries of this engine —
-	// the mount service's admission gate. Requests beyond the budget
-	// wait (in FIFO order, cancellable through QueryAs's context)
+	// MountBudgetBytes bounds the admission held ACROSS all concurrent
+	// queries of this engine — the mount service's admission gate. A
+	// flight is charged its file's bytes when it starts extracting and
+	// gives them back as its batches leave the window, so the budget
+	// bounds batches some cursor has yet to read, not files being
+	// extracted at once. Requests beyond the budget wait (in FIFO order, cancellable through QueryAs's context)
 	// instead of OOMing the server; a single file larger than the whole
 	// budget is admitted alone. <= 0 means unlimited.
 	MountBudgetBytes int64
@@ -109,17 +111,20 @@ type Options struct {
 	// bounds over passthrough output columns participate. Requires
 	// ResultCacheBytes != 0.
 	ResultCacheSubsumption bool
-	// SpillDir enables out-of-core execution: mount-flight replay buffers
-	// over SpillThresholdBytes stream to temp spill files under
-	// SpillDir/flights (so a file whose decoded size exceeds
-	// MountBudgetBytes completes, handing admission bytes back as batches
-	// land on disk), and the result cache demotes cold entries to
-	// SpillDir/results instead of evicting them — the same directory a
-	// later Open warms the result cache from (repeat queries after a
-	// restart serve with zero executions). Empty disables both.
+	// SpillDir enables out-of-core execution: mount flights bound their
+	// windows by SpillThresholdBytes, spilling what a joiner still on its
+	// prefix pins to temp files under SpillDir/flights, and the result cache demotes
+	// cold entries to SpillDir/results instead of evicting them — the
+	// same directory a later Open warms the result cache from (repeat
+	// queries after a restart serve with zero executions). Empty
+	// disables both.
 	SpillDir string
-	// SpillThresholdBytes is the resident replay-buffer size above which
-	// a mount flight spills. <= 0 disables flight spilling even with
+	// SpillThresholdBytes is the size of a mount flight's window: the
+	// decoded bytes it keeps resident before its extractor waits for the
+	// slowest reading cursor, and before batches only a joiner still on
+	// its prefix needs go to disk. Batches leaving the window give
+	// back admission bytes, so a file whose decoded size exceeds
+	// MountBudgetBytes completes. <= 0 leaves windows unbounded even with
 	// SpillDir set (the result-cache disk tier still runs); > 0 requires
 	// SpillDir.
 	SpillThresholdBytes int64

@@ -2,18 +2,22 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/repo"
+	"repro/internal/seismic"
 	"repro/internal/vector"
 )
 
-// spillOpts configures out-of-core execution aggressively: any replay
-// buffer spills after its first batch, and the mount budget is far
-// smaller than one decoded file, so only early admission release lets
-// concurrent mounts make progress.
+// spillOpts configures out-of-core execution aggressively: every flight
+// window is over its threshold after its first batch, and the mount
+// budget is far smaller than one decoded file, so only admission given
+// back as batches leave the window lets concurrent mounts make progress.
 func spillOpts(dir string, par int) Options {
 	return Options{
 		Mode:                ModeALi,
@@ -24,13 +28,72 @@ func spillOpts(dir string, par int) Options {
 	}
 }
 
-// TestSpillDifferentialByteIdentical is the tentpole's correctness pin:
-// with flight spilling forced on (threshold 1 byte, budget smaller than
-// any decoded file) every query answer is byte-identical to a spill-off
-// engine's, at serial and parallel mount scheduling, cold and hot — and
-// the spilling engine really did go out of core.
+// flightBytes is the smallest total a flight over one of the
+// repository's files decodes: the sum of the batches a full mount
+// streams.
+func flightBytes(t *testing.T, m *repo.Manifest) int64 {
+	t.Helper()
+	ad := seismic.NewAdapter()
+	least := int64(-1)
+	for _, f := range m.Files {
+		var n int64
+		err := ad.MountStream(filepath.Join(m.Dir, f.URI), f.URI, nil, 0, func(b *vector.Batch) error {
+			n += b.Bytes()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if least < 0 || n < least {
+			least = n
+		}
+	}
+	return least
+}
+
+// assertWindowed checks what a spill-configured engine must show after
+// queries that ran one at a time: nothing spilled (a query's cursors
+// read from attach, so its extractors wait for them), the resident
+// replay peak below what one flight decodes (the window, not the whole
+// file, was resident), both gauges drained and no flight file left.
+func assertWindowed(t *testing.T, label string, e *Engine, perFlight int64) {
+	t.Helper()
+	st := e.MountService().Stats()
+	if st.SpilledFlights != 0 || st.SpilledBytes != 0 || st.SpillReplayReads != 0 || st.SpillFailures != 0 {
+		t.Fatalf("%s: a query's own flights spilled: %+v", label, st)
+	}
+	if st.PeakReplayBytes == 0 || st.PeakReplayBytes >= perFlight {
+		t.Fatalf("%s: resident peak %d not in (0, per-flight decoded bytes %d)", label, st.PeakReplayBytes, perFlight)
+	}
+	if st.InFlightBytes != 0 || st.ReplayBytes != 0 {
+		t.Fatalf("%s: gauges not drained: %+v", label, st)
+	}
+	assertNoFlightFiles(t, label, e)
+}
+
+// assertNoFlightFiles fails if a temp flight spill file outlived its
+// flight.
+func assertNoFlightFiles(t *testing.T, label string, e *Engine) {
+	t.Helper()
+	ents, err := os.ReadDir(filepath.Join(e.opts.SpillDir, "flights"))
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	if len(ents) != 0 {
+		t.Fatalf("%s: leaked flight spill files: %v", label, ents)
+	}
+}
+
+// TestSpillDifferentialByteIdentical is the window's correctness pin:
+// with every flight window over its threshold (1 byte, budget smaller
+// than any decoded file) every query answer is byte-identical to a
+// plain engine's, at serial and parallel mount scheduling, cold and hot.
+// A query's cursors all read, so its extractors wait for them and
+// nothing spills; mountsvc's window tests pin spilling and replay with a
+// lagging joiner.
 func TestSpillDifferentialByteIdentical(t *testing.T) {
 	m := testRepo(t)
+	perFlight := flightBytes(t, m)
 	for _, par := range []int{1, 8} {
 		plain := openEngine(t, m.Dir, Options{Mode: ModeALi, Parallelism: par})
 		spill := openEngine(t, m.Dir, spillOpts(t.TempDir(), par))
@@ -41,32 +104,16 @@ func TestSpillDifferentialByteIdentical(t *testing.T) {
 				assertSameValues(t, q[:20], want, got)
 			}
 		}
-		// Whether a cursor ever reads a spilled prefix back depends on how
-		// the leader and its cursor are scheduled; mountsvc's
-		// TestFlightSpillsOverThreshold pins replay with a gated late joiner.
-		st := spill.MountService().Stats()
-		if st.SpilledFlights == 0 || st.SpilledBytes == 0 {
-			t.Fatalf("parallelism %d: spilling engine never spilled: %+v", par, st)
-		}
-		if st.InFlightBytes != 0 || st.ReplayBytes != 0 {
-			t.Fatalf("parallelism %d: gauges not drained: %+v", par, st)
-		}
-		// Temp flight spill files never outlive their flights.
-		ents, err := os.ReadDir(filepath.Join(spill.opts.SpillDir, "flights"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ents) != 0 {
-			t.Fatalf("parallelism %d: leaked flight spill files: %v", par, ents)
-		}
+		assertWindowed(t, fmt.Sprintf("parallelism %d", par), spill, perFlight)
 	}
 }
 
 // TestSpillCompletesMountOverBudgetPeak pins the out-of-core point
 // directly: a query whose window pulls every record of each file
-// streams multiple record-aligned batches per flight, and with spilling
-// the resident replay peak stays strictly below what each flight
-// decoded in total — the buffer lived on disk, not in memory.
+// streams multiple batches per flight through a budget smaller than one
+// file, with the same answer as a plain engine, and the resident replay
+// peak stays strictly below what a flight decoded in total — the window
+// lived in memory, not the file.
 func TestSpillCompletesMountOverBudgetPeak(t *testing.T) {
 	m := testRepo(t)
 	// A window covering every record of the day's files.
@@ -78,27 +125,15 @@ AND R.start_time > '2010-01-12T00:00:00.000'
 AND R.start_time < '2010-01-12T23:59:59.999'
 AND D.sample_time > '2010-01-12T00:00:00.000'
 AND D.sample_time < '2010-01-12T23:59:59.999'`
-	// Batches smaller than a record stream record-aligned: four appends
-	// per file instead of one, so spilling between appends matters.
 	so := spillOpts(t.TempDir(), 1)
 	so.BatchSize = 256
 	spill := openEngine(t, m.Dir, so)
-	queryAllValues(t, spill, wide, true)
-	st := spill.MountService().Stats()
-	if st.SpilledFlights == 0 || st.SpilledBytes == 0 {
-		t.Fatalf("wide query never spilled: %+v", st)
-	}
-	if st.PeakReplayBytes == 0 {
-		t.Fatal("replay peak not tracked")
-	}
-	// Threshold 1 flushes after every append: resident replay never held
-	// more than a batch or two of the multi-batch flights, so the peak
-	// sits strictly below even a single flight's total decoded bytes.
-	perFlight := st.SpilledBytes / st.SpilledFlights
-	if st.PeakReplayBytes >= perFlight {
-		t.Fatalf("resident peak %d not bounded below per-flight decoded bytes %d",
-			st.PeakReplayBytes, perFlight)
-	}
+	plain := openEngine(t, m.Dir, Options{Mode: ModeALi, Parallelism: 1, BatchSize: 256})
+	assertSameValues(t, "wide", queryAllValues(t, plain, wide, true), queryAllValues(t, spill, wide, true))
+	// Threshold 1 parks the extractor after every append until the query
+	// has read the batch, so resident replay never held more than a
+	// batch or two of the multi-batch flights.
+	assertWindowed(t, "wide query", spill, flightBytes(t, m))
 }
 
 // TestRestartWarmsResultCache is the persistence contract end to end:
@@ -204,7 +239,8 @@ func TestRestartIgnoresCorruptSpillState(t *testing.T) {
 }
 
 // TestSpillCancellationMidFlight: queries cancelled at varying points
-// while their flights are spilling must neither wedge the engine nor
+// while their flights' windows are over the threshold (extractors
+// parked on the query's cursors) must neither wedge the engine nor
 // leak budget bytes or temp files, and a clean query afterwards gets
 // the right answer.
 func TestSpillCancellationMidFlight(t *testing.T) {
@@ -247,12 +283,13 @@ func TestSpillCancellationMidFlight(t *testing.T) {
 	assertSameValues(t, "after cancellations", want, got)
 }
 
-var _ = vector.KindInt64 // keep the import if assertions change shape
-
 // TestSpillFailureCountedAndHarmless: with the spill directory gone
-// before a query whose flight crosses the threshold, the flight keeps its
-// replay buffer in memory, the answer is unchanged, and the failure is
-// counted once — the degradation is no longer silent.
+// before a query whose flights cross the threshold, the answer is
+// unchanged, nothing reaches disk and the gauges drain. A query's own
+// cursors read from attach, so its flights wait for them and never try
+// the directory: no failure is counted. mountsvc's
+// TestWindowSpillFailureKeepsPinnedBatches counts a failed spill for a
+// lagging joiner.
 func TestSpillFailureCountedAndHarmless(t *testing.T) {
 	m := testRepo(t)
 	plain := openEngine(t, m.Dir, Options{Mode: ModeALi})
@@ -265,10 +302,90 @@ func TestSpillFailureCountedAndHarmless(t *testing.T) {
 	got := queryAllValues(t, spill, query1, true)
 	assertSameValues(t, "query1", want, got)
 	st := spill.MountService().Stats()
-	if st.SpillFailures != 1 || st.SpilledFlights != 0 {
-		t.Fatalf("SpillFailures = %d, SpilledFlights = %d; want 1 and 0", st.SpillFailures, st.SpilledFlights)
+	if st.SpillFailures != 0 || st.SpilledFlights != 0 {
+		t.Fatalf("SpillFailures = %d, SpilledFlights = %d; want 0 and 0", st.SpillFailures, st.SpilledFlights)
 	}
 	if st.InFlightBytes != 0 || st.ReplayBytes != 0 {
 		t.Fatalf("gauges not drained: %+v", st)
 	}
+}
+
+// TestSpillWindowConcurrentClients is the clients_spill shape: K
+// concurrent clients scanning a 3-file hot set on a sequential engine
+// whose mount budget fits one and a half files and whose window
+// threshold is one byte. Joiners arrive mid-file (re-mounting their
+// prefix and pinning the window while they do, which spills), and a
+// reading cursor parks its extractor. Every run must finish, every
+// answer must be byte-identical to a plain engine's, and afterwards both
+// gauges are zero and no flight file is left.
+func TestSpillWindowConcurrentClients(t *testing.T) {
+	m := testRepo(t)
+	var scans []string
+	var fileBytes int64
+	for _, f := range m.Files {
+		if f.Station != "ISK" || f.Year != 2010 || f.DayOfYear != 12 {
+			continue
+		}
+		fileBytes = max(fileBytes, f.SizeBytes)
+		scans = append(scans, fmt.Sprintf(`SELECT COUNT(*), SUM(D.sample_value), MIN(D.sample_value), MAX(D.sample_time)
+FROM F JOIN R ON F.uri = R.uri
+JOIN D ON R.uri = D.uri AND R.record_id = D.record_id
+WHERE F.station = 'ISK' AND F.channel = '%s'
+AND R.start_time > '2010-01-12T00:00:00.000'
+AND R.start_time < '2010-01-12T23:59:59.999'
+AND D.sample_time > '2010-01-12T00:00:00.000'
+AND D.sample_time < '2010-01-12T23:59:59.999'`, f.Channel))
+	}
+	if len(scans) != 3 {
+		t.Fatalf("hot set has %d files, want 3", len(scans))
+	}
+	plain := openEngine(t, m.Dir, Options{Mode: ModeALi, Parallelism: 1})
+	want := make([][]vector.Value, len(scans))
+	for i, q := range scans {
+		want[i] = queryAllValues(t, plain, q, true)
+	}
+	e := openEngine(t, m.Dir, Options{
+		Mode: ModeALi, Parallelism: 1, MountBudgetBytes: fileBytes * 3 / 2,
+		SpillDir: t.TempDir(), SpillThresholdBytes: 1,
+	})
+	const clients, rounds = 6, 8
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				i := (c + r) % len(scans)
+				res, err := e.QueryAs(context.Background(), fmt.Sprintf("client-%d", c), scans[i])
+				if err != nil {
+					errs <- err
+					return
+				}
+				got := resultValues(res)
+				if len(got) != len(want[i]) {
+					errs <- fmt.Errorf("client %d scan %d: %d values, want %d", c, i, len(got), len(want[i]))
+					return
+				}
+				for k := range got {
+					if vector.Compare(got[k], want[i][k]) != 0 {
+						errs <- fmt.Errorf("client %d scan %d: value %d is %v, want %v", c, i, k, got[k], want[i][k])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	st := e.MountService().Stats()
+	if st.InFlightBytes != 0 || st.ReplayBytes != 0 {
+		t.Fatalf("gauges not drained: %+v", st)
+	}
+	assertNoFlightFiles(t, "clients", e)
+	t.Logf("flights %d, joins %d, spilled flights %d (%d B), replay reads %d, peak replay %d B",
+		st.FlightsStarted, st.SingleFlightHits, st.SpilledFlights, st.SpilledBytes, st.SpillReplayReads, st.PeakReplayBytes)
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/expr"
 	"repro/internal/plan"
@@ -141,7 +142,14 @@ func (j *hashJoin) build() error {
 	if j.rightAll, err = drain(j.right); err != nil {
 		return err
 	}
-	rrows, lrows, _ := j.table.probe(j.rightAll, j.rightKeys)
+	rrows, lrows, one := j.table.probe(j.rightAll, j.rightKeys)
+	if one >= 0 { // every right row pairs with build row one
+		lrows = slices.Repeat([]int{one}, j.rightAll.Len())
+		rrows = make([]int, len(lrows))
+		for i := range rrows {
+			rrows[i] = i
+		}
+	}
 	j.lsel, j.rsel = leftMajor(lrows, rrows, j.buildAll.Len())
 	return nil
 }

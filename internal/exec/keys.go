@@ -61,8 +61,9 @@ func newKeyTable(b *vector.Batch, keys []int, probeKinds []vector.Kind) *keyTabl
 // and, within a probe row, in build-row order. The returned slices are
 // valid until the next probe. A batch whose every key is Const (a
 // mounted record) is probed as its first row, one hash and one chain,
-// and the matches stand for every row; one is then the build row every
-// probe row pairs with if exactly one matches, else -1.
+// and the matches stand for every row. If exactly one build row
+// matches, it is returned as one and no pairs are written: every probe
+// row pairs with it. Otherwise one is -1.
 func (t *keyTable) probe(b *vector.Batch, keys []int) (prows, brows []int, one int) {
 	n, rows := b.Len(), min(b.Len(), 1)
 	for _, k := range keys {
@@ -111,7 +112,8 @@ func (t *keyTable) probe(b *vector.Batch, keys []int) (prows, brows []int, one i
 	one = -1
 	if rows < n {
 		if len(brows) == 1 {
-			one = brows[0]
+			t.prows, t.brows = prows, brows
+			return nil, nil, brows[0]
 		}
 		t.match = append(t.match[:0], brows...)
 		prows, brows = prows[:0], brows[:0]

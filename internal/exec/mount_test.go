@@ -7,6 +7,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/catalog"
 	"repro/internal/expr"
+	"repro/internal/mountsvc"
 	"repro/internal/plan"
 	"repro/internal/repo"
 	"repro/internal/seismic"
@@ -375,5 +376,48 @@ func TestConcurrentMountsOfOneFile(t *testing.T) {
 	if ms.SingleFlightHits+ms.CacheHits != k-1 {
 		t.Errorf("SingleFlightHits=%d + CacheHits=%d, want %d: every other query rides the flight or its cache entry",
 			ms.SingleFlightHits, ms.CacheHits, k-1)
+	}
+}
+
+// TestMountAttachesAtFirstNext pins the invariant that keeps a query
+// from deadlocking on itself once a flight waits for its reading
+// cursors: a Mount operator attaches no cursor when it is built, only at
+// its first Next, and a sequential union holds at most one undrained
+// mount cursor at a time — input i+1 is not mounted before input i has
+// drained, so it cannot even ride input i's flight.
+func TestMountAttachesAtFirstNext(t *testing.T) {
+	env, m, def := mountEnv(t, cache.Config{})
+	env.MountSvc = mountsvc.New(mountsvc.Config{RepoDir: m.Dir})
+	const inputs, fileRows = 3, 1000
+	u := &plan.UnionAll{}
+	for range inputs {
+		u.Inputs = append(u.Inputs, mountNode(m, def, nil))
+	}
+	op, err := Build(u, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer op.Close()
+	if st := env.MountSvc.Stats(); st.FlightsStarted != 0 {
+		t.Fatalf("Build attached %d mount cursors, want 0", st.FlightsStarted)
+	}
+	rows := 0
+	for {
+		b, err := op.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			break
+		}
+		rows += b.Len()
+		st := env.MountSvc.Stats()
+		if want := int64((rows-1)/fileRows + 1); st.FlightsStarted != want || st.SingleFlightHits != 0 {
+			t.Fatalf("after %d rows: %d flights, %d joins; want %d and 0 (one undrained input at a time)",
+				rows, st.FlightsStarted, st.SingleFlightHits, want)
+		}
+	}
+	if rows != inputs*fileRows {
+		t.Fatalf("union emitted %d rows, want %d", rows, inputs*fileRows)
 	}
 }

@@ -1,10 +1,6 @@
 // Package mountsvc is the engine-owned mount service: the shared,
-// streaming implementation of ALi's second stage. Before it existed the
-// extract/decompress/transform path lived inside per-operator code, so N
-// concurrent queries needing the same file paid N full extractions and
-// every mount materialized the whole file before chunking. The service
-// inverts that ownership — the data path is engine-global and queries
-// attach cursors to it:
+// streaming implementation of ALi's second stage. The data path is
+// engine-global and queries attach cursors to it:
 //
 //   - Single-flight mounting: concurrent requests for the same (uri,
 //     span) coalesce onto one extraction ("flight") whose record batches
@@ -15,22 +11,31 @@
 //   - Streaming extraction: flights drive the adapter's MountStream
 //     API, so batches reach waiters (and the operator tree above them)
 //     while the file is still being decoded.
+//   - A window, not a history: a flight keeps only the batches some
+//     cursor has yet to read; a batch leaves memory, and gives back its
+//     share of admission, once every cursor is past it. A request that
+//     joins after batch 0 left attaches at the window's head and
+//     re-mounts the batches before it privately, so its stream is a
+//     cold mount's. Past SpillThresholdBytes the extractor waits for the
+//     slowest reading cursor; only batches a joiner still on its prefix
+//     pins (it lags, and is never waited for) go to a spill file.
 //   - Admission budget: a cross-query gate (internal/admission) bounds
-//     the total bytes of repository files being extracted at once;
-//     requests beyond the budget wait in a FIFO ticket queue — handoff
-//     wakeups, so a stream of small requests can never starve a large
-//     waiter — backpressuring the mount scheduler instead of OOMing.
-//     Waits are cancellable (Request.Ctx) and counted per session
-//     (Request.Session).
-//   - Cancel-aware flights: a flight refcounts its live cursors; when
+//     the admission flights hold. A flight is charged its file's bytes
+//     when it starts and gives them back as its batches leave the window,
+//     so the budget bounds extraction that has run ahead of its readers.
+//     Requests beyond it wait in a FIFO ticket queue (handoff wakeups: a
+//     stream of small requests never starves a large waiter), which
+//     backpressures the mount scheduler; waits are cancellable
+//     (Request.Ctx) and counted per session (Request.Session).
+//   - Cancel-aware flights: a flight tracks its live cursors; when
 //     every waiter has closed or drained, an extraction still running is
 //     stopped at the next batch boundary, its budget released and any
 //     pending cache fill aborted — a fully abandoned query stops paying
 //     for data nobody will read.
 //
 // Batches fanned out by cursors are copy-on-write shares of the
-// flight's replay buffer (vector.Batch.Share): waiters may mutate what
-// they receive and the first write materializes a private copy, so no
+// flight's window (vector.Batch.Share): waiters may mutate what they
+// receive and the first write materializes a private copy, so no
 // waiter can ever corrupt another's view.
 package mountsvc
 
@@ -38,8 +43,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"repro/internal/admission"
@@ -64,21 +71,25 @@ type Config struct {
 	// (record-aligned, so per-record summaries stay correct). It is
 	// invoked from flight goroutines and must be safe for concurrent use.
 	OnMount func(uri string, batch *vector.Batch)
-	// BudgetBytes bounds the total repository-file bytes being extracted
-	// at once across all queries; <= 0 means unlimited. A single file
-	// larger than the budget is admitted alone.
+	// BudgetBytes bounds the admission held across all queries; <= 0
+	// means unlimited. A flight is charged its file's bytes (or the
+	// planner's estimate) when it starts extracting, gives back as many
+	// as the decoded bytes of each batch every cursor has read, and the
+	// rest when it ends: it bounds batches some cursor has yet to read,
+	// not files being extracted at once. A single file larger than the
+	// budget is admitted alone.
 	BudgetBytes int64
-	// SpillDir, together with SpillThresholdBytes > 0, enables
-	// out-of-core replay buffers: once a flight's resident replay buffer
-	// exceeds the threshold, its batches are flushed to a temp spill
-	// file under SpillDir (removed at flight teardown on every path),
-	// admission bytes are given back as batches land on disk, and
-	// cursors replay the flushed prefix through streaming spill reads —
-	// so a mount larger than the whole budget completes within it.
+	// SpillDir, together with SpillThresholdBytes > 0, bounds each
+	// flight's window: past the threshold the extractor waits for its
+	// reading cursors, and batches only a joiner still on its prefix
+	// needs go to a temp spill file under SpillDir (removed at flight
+	// teardown on every path) that the joiner replays. Batches leaving
+	// memory give back admission bytes, so a mount larger than the whole
+	// budget completes within it.
 	SpillDir string
-	// SpillThresholdBytes is the resident replay-buffer size (decoded
-	// vector.Batch.Bytes) above which a flight spills; <= 0 disables
-	// spilling even when SpillDir is set.
+	// SpillThresholdBytes is the window size (decoded vector.Batch.Bytes
+	// resident per flight) above which a flight waits or spills; <= 0
+	// leaves windows unbounded even when SpillDir is set.
 	SpillThresholdBytes int64
 }
 
@@ -108,13 +119,10 @@ type Request struct {
 	// URI names the repository file.
 	URI string
 	// Ctx, when set, cancels THIS request's cursor: a query cancelled
-	// while its mount is blocked (on the byte budget, or mid-stream)
-	// returns promptly through Cursor.Next and detaches, holding
-	// nothing. The flight itself is untouched while other waiters ride
-	// it — its admission wait and extraction are cancelled only when
-	// every waiter has detached (abandonment), never by one waiter's
-	// context, so one cancelled query can never fail the queries that
-	// joined its flight.
+	// while its mount is blocked returns promptly through Cursor.Next
+	// and detaches, holding nothing. The flight's admission wait and
+	// extraction are cancelled only when every waiter has detached
+	// (abandonment), so one cancelled query never fails its riders.
 	Ctx context.Context
 	// Session identifies the requesting session in the admission gate's
 	// per-session statistics; empty is a valid (shared) identity.
@@ -145,6 +153,12 @@ type Request struct {
 // storage common to every waiter of the same flight: reading is free and
 // a consumer mutating its batch (through the vector mutation API)
 // materializes a private copy without affecting anyone else.
+//
+// A caller reads a cursor as soon as Mount returns it, and then either
+// drains it or Closes it: a cursor counts as reading from attach, and a
+// flight past its threshold waits for its reading cursors. Only a
+// joiner still on its private prefix is not waited for; what it pins
+// spills instead.
 type Cursor interface {
 	Next() (*vector.Batch, error)
 	Close() error
@@ -161,39 +175,33 @@ type Stats struct {
 	// FlightsCancelled counts extractions stopped mid-file because every
 	// waiter had abandoned the flight.
 	FlightsCancelled int64
-	// InFlightBytes / PeakInFlightBytes track the admission budget
-	// (denominated in repository-file bytes, the pre-extraction
-	// admission estimate).
+	// InFlightBytes / PeakInFlightBytes track the admission budget, in
+	// repository-file bytes (the pre-extraction admission estimate).
 	InFlightBytes     int64
 	PeakInFlightBytes int64
-	// ReplayBytes / PeakReplayBytes track the decoded replay buffers of
-	// live flights, measured with vector.Batch.Bytes rather than any
-	// ad-hoc estimate. The peak is the true high-water mark, updated at
-	// every buffer append — spilling drains the gauge mid-flight, so a
-	// completion-time sample would under-report the pressure that
-	// triggered the spill.
+	// ReplayBytes / PeakReplayBytes track the decoded batches resident
+	// in live flights' windows (vector.Batch.Bytes); the peak is updated
+	// at every append, so it is the true high-water mark.
 	ReplayBytes     int64
 	PeakReplayBytes int64
 	// Out-of-core counters: SpilledFlights counts flights that spilled
-	// their replay buffer to disk, SpilledBytes the decoded bytes
+	// batches a joiner on its prefix pinned, SpilledBytes the decoded bytes
 	// flushed (the memory the spill released), SpillReplayReads the
 	// batches cursors replayed from spill files instead of memory.
 	SpilledFlights   int64
 	SpilledBytes     int64
 	SpillReplayReads int64
-	// SpillFailures counts flights that fell back to holding their replay
-	// buffer in memory because creating or writing the spill file failed.
+	// SpillFailures counts flights that fell back to holding pinned
+	// batches in memory because creating or writing the spill file failed.
 	SpillFailures int64
 	// AdmissionBytesSaved totals the budget bytes honest (estimate-
 	// sized) admissions left free versus whole-file admission.
 	AdmissionBytesSaved int64
-	// QueueDepth is the number of flights currently blocked in the
-	// admission queue; BudgetWaits counts admissions that had to queue;
-	// BudgetCancelled counts admission waits cancelled because every
-	// waiter had detached (including a sole cancelled waiter);
-	// WaiterCancels counts cursors detached by their own request's
-	// context; StarvationAvoided counts the fairness interventions of
-	// the FIFO gate (see admission.Stats.StarvationAvoided).
+	// QueueDepth is the number of flights blocked in the admission
+	// queue; BudgetWaits counts admissions that had to queue;
+	// BudgetCancelled admission waits cancelled by abandonment;
+	// WaiterCancels cursors detached by their own request's context;
+	// StarvationAvoided the FIFO gate's fairness interventions.
 	QueueDepth        int
 	BudgetWaits       int64
 	BudgetCancelled   int64
@@ -213,30 +221,14 @@ type Service struct {
 	// extraction bytes across all queries and sessions.
 	gate *admission.Gate
 
-	// replay-buffer and spill accounting
-	rmu            sync.Mutex
-	replay         int64
-	replayPeak     int64
-	spilledFlights int64
-	spilledBytes   int64
-	spillReads     int64
-	spillFailures  int64
+	// smu guards the counters; Stats adds the gate's figures to them.
+	smu sync.Mutex
+	st  Stats
 
 	// single-flight table
-	fmu            sync.Mutex
-	flights        map[string][]*flight
-	started        int64
-	joined         int64
-	cached         int64
-	cancelled      int64
-	waiterCancels  int64
-	admissionSaved int64
+	fmu     sync.Mutex
+	flights map[string][]*flight
 }
-
-// errFlightAbandoned is the internal sentinel the flight goroutine
-// returns through the adapter's emit callback to stop an extraction
-// whose every waiter has detached.
-var errFlightAbandoned = errors.New("mountsvc: flight abandoned by all waiters")
 
 // New returns a service over the given configuration.
 func New(cfg Config) *Service {
@@ -249,33 +241,25 @@ func New(cfg Config) *Service {
 
 // Stats returns a snapshot of the service counters.
 func (s *Service) Stats() Stats {
-	s.fmu.Lock()
-	st := Stats{
-		FlightsStarted: s.started, SingleFlightHits: s.joined,
-		CacheServes: s.cached, FlightsCancelled: s.cancelled,
-		WaiterCancels: s.waiterCancels, AdmissionBytesSaved: s.admissionSaved,
-	}
-	s.fmu.Unlock()
+	s.smu.Lock()
+	st := s.st //lint:allow statcheck the counters never hold PerSession; the gate's own copy is set below
+	s.smu.Unlock()
 	gs := s.gate.Stats()
 	st.InFlightBytes, st.PeakInFlightBytes = gs.UsedBytes, gs.PeakBytes
 	st.QueueDepth, st.BudgetWaits = gs.QueueDepth, gs.Waits
 	st.BudgetCancelled, st.StarvationAvoided = gs.Cancelled, gs.StarvationAvoided
 	st.PerSession = gs.PerSession
-	s.rmu.Lock()
-	st.ReplayBytes, st.PeakReplayBytes = s.replay, s.replayPeak
-	st.SpilledFlights, st.SpilledBytes = s.spilledFlights, s.spilledBytes
-	st.SpillReplayReads, st.SpillFailures = s.spillReads, s.spillFailures
-	s.rmu.Unlock()
 	return st
 }
 
-// spillEnabled reports whether flights may spill their replay buffers.
-func (s *Service) spillEnabled() bool {
-	return s.cfg.SpillDir != "" && s.cfg.SpillThresholdBytes > 0
+// count applies one update to the counters.
+func (s *Service) count(update func(*Stats)) {
+	s.smu.Lock()
+	update(&s.st)
+	s.smu.Unlock()
 }
 
-// diskModel returns the modeled disk spill I/O is charged to: the
-// buffer pool's when one is configured, a free disk otherwise.
+// diskModel is what spill I/O is charged to: the pool's disk, or a free one.
 func (s *Service) diskModel() (storage.DiskModel, *storage.Clock) {
 	if s.cfg.Pool != nil {
 		return s.cfg.Pool.Model(), s.cfg.Pool.Clock()
@@ -299,6 +283,9 @@ func (s *Service) fileGranular() bool {
 // flight when one covers the span, serving straight from a covering
 // cache entry, or starting a new extraction flight.
 func (s *Service) Mount(req Request) (Cursor, error) {
+	if req.BatchRows <= 0 {
+		req.BatchRows = vector.DefaultBatchSize
+	}
 	path := filepath.Join(s.cfg.RepoDir, req.URI)
 	st, err := os.Stat(path)
 	if err != nil {
@@ -313,16 +300,16 @@ func (s *Service) Mount(req Request) (Cursor, error) {
 	s.fmu.Lock()
 	for _, f := range s.flights[req.URI] {
 		if f.span.Contains(span) {
-			// ref before releasing fmu: cancellation checks refs under
-			// both locks, so a flight visible in the table can never be
-			// abandoned between the containment check and the attach.
-			f.ref()
-			s.joined++
+			// Attach before releasing fmu: cancellation checks the cursors
+			// under both locks, so a flight visible in the table can never
+			// be abandoned between the containment check and the attach.
+			c := f.attach(req.Ctx)
+			s.count(func(st *Stats) { st.SingleFlightHits++ })
 			s.fmu.Unlock()
 			if req.Observe != nil {
 				req.Observe(Delta{SingleFlight: true})
 			}
-			return &flightCursor{f: f, ctx: req.Ctx}, nil
+			return c, nil
 		}
 	}
 	// Planning races: rule (1) may have chosen Mount while the cache was
@@ -332,15 +319,17 @@ func (s *Service) Mount(req Request) (Cursor, error) {
 	// filtered rows and stay the planner's business).
 	if s.fileGranular() {
 		if b, ok := s.cfg.Cache.Get(req.URI, span); ok {
-			s.cached++
+			s.count(func(st *Stats) { st.CacheServes++ })
 			s.fmu.Unlock()
 			if req.Observe != nil {
 				req.Observe(Delta{FromCache: true})
 			}
-			return newStaticCursor(b, req.batchRows()), nil
+			return &staticCursor{b: b, size: req.BatchRows}, nil
 		}
 	}
-	f := newFlight(req.URI, span, st.Size(), req.Session, s)
+	f := &flight{uri: req.URI, span: span, size: st.Size(), admitBytes: st.Size(), session: req.Session,
+		svc: s, path: path, adapter: req.Adapter, batchRows: req.BatchRows}
+	f.cond = sync.NewCond(&f.mu)
 	// Honest admission: when the planner proved (from the frozen Qf
 	// result) that span pruning leaves only part of the file to buffer,
 	// admit that estimate instead of the whole-file worst case. Skipped
@@ -349,35 +338,24 @@ func (s *Service) Mount(req Request) (Cursor, error) {
 		f.admitBytes = req.EstBytes
 	}
 	s.flights[req.URI] = append(s.flights[req.URI], f)
-	s.started++
-	f.ref()
+	s.count(func(st *Stats) { st.FlightsStarted++ })
+	c := f.attach(req.Ctx)
 	s.fmu.Unlock()
 
-	go s.run(f, req, path, st.Size())
-	return &flightCursor{f: f, ctx: req.Ctx}, nil
-}
-
-func (r Request) batchRows() int {
-	if r.BatchRows > 0 {
-		return r.BatchRows
-	}
-	return vector.DefaultBatchSize
+	go s.run(f, req.Observe)
+	return c, nil
 }
 
 // run is the flight goroutine: admission, modeled I/O, streaming
-// extraction, fan-out and cache fill. The budget stays held until the
-// extraction is done AND every cursor has drained or closed — the
-// replay buffer, not just the decode, is what the budget bounds (see
+// extraction, fan-out and cache fill. The budget is given back as
+// batches leave the window, and the rest once the extraction is done
+// AND every cursor has drained or closed (see flight.leaveLocked and
 // flight.unref).
-func (s *Service) run(f *flight, req Request, path string, size int64) {
+func (s *Service) run(f *flight, observe func(Delta)) {
 	finish := func(err error) {
 		s.fmu.Lock()
 		s.removeLocked(f)
 		s.fmu.Unlock()
-		// Extraction-done must be visible before done is: a cursor that
-		// observes done and detaches must synchronously release the
-		// budget when it was the last reference.
-		f.extractionFinished()
 		f.finish(err)
 	}
 
@@ -389,32 +367,11 @@ func (s *Service) run(f *flight, req Request, path string, size int64) {
 		return
 	}
 
-	// Model the cost of reading the external file by touching its pages
-	// in the buffer pool: a cold mount pays seek+transfer, a hot repeat
-	// is free (the paper's hot protocol has the file in the OS page
-	// cache). Touch reads no bytes; the adapter below reads the file
-	// once. Single-flight means concurrent queries pay it once.
+	// Model reading the file by touching its pages in the pool: a cold
+	// mount pays seek+transfer, a hot repeat is free (the paper's hot
+	// protocol). Touch reads no bytes; the adapter reads the file once.
 	if s.cfg.Pool != nil {
-		s.cfg.Pool.Touch(path, size)
-	}
-
-	// Record pruning from the flight span (disabled for full-span
-	// flights, including all flights under file-granular caching).
-	pruned := 0
-	var keep func(catalog.RecordMeta) bool
-	if !f.span.Full {
-		lo, hi := f.span.Lo, f.span.Hi
-		keep = func(rm catalog.RecordMeta) bool {
-			rlo, rhi, known := req.Adapter.RecordSpan(rm)
-			if !known {
-				return true
-			}
-			if rhi < lo || rlo > hi {
-				pruned++
-				return false
-			}
-			return true
-		}
+		s.cfg.Pool.Touch(f.path, f.size)
 	}
 
 	// File-granular retention streams into the cache as batches arrive;
@@ -424,8 +381,8 @@ func (s *Service) run(f *flight, req Request, path string, size int64) {
 		pending = s.cfg.Cache.BeginPut(f.uri)
 	}
 
-	rows := 0
-	err := req.Adapter.MountStream(path, f.uri, keep, req.batchRows(), func(b *vector.Batch) error {
+	rows, pruned := 0, 0
+	err := f.adapter.MountStream(f.path, f.uri, f.keep(&pruned), f.batchRows, func(b *vector.Batch) error {
 		if s.abandonIfUnreferenced(f) {
 			return errFlightAbandoned
 		}
@@ -434,7 +391,9 @@ func (s *Service) run(f *flight, req Request, path string, size int64) {
 		}
 		pending.Append(b)
 		rows += b.Len()
-		f.append(b)
+		if !f.append(b) && s.abandonIfUnreferenced(f) {
+			return errFlightAbandoned
+		}
 		return nil
 	})
 	if errors.Is(err, errFlightAbandoned) {
@@ -451,16 +410,12 @@ func (s *Service) run(f *flight, req Request, path string, size int64) {
 		return
 	}
 	pending.Commit(cache.FullSpan())
-	saved := size - f.admitBytes
-	if saved > 0 {
-		s.fmu.Lock()
-		s.admissionSaved += saved
-		s.fmu.Unlock()
-	}
-	if req.Observe != nil {
-		req.Observe(Delta{
+	saved := f.size - f.admitBytes
+	s.count(func(st *Stats) { st.AdmissionBytesSaved += saved })
+	if observe != nil {
+		observe(Delta{
 			FileMounted:    true,
-			BytesRead:      size,
+			BytesRead:      f.size,
 			RecordsPruned:  pruned,
 			RecordsMounted: rows,
 			AdmissionSaved: saved,
@@ -475,138 +430,81 @@ func (s *Service) run(f *flight, req Request, path string, size int64) {
 // a flight is shared, and failing it on one waiter's cancellation would
 // poison the queries riding it — cancelled waiters leave through their
 // own cursors instead, and only the last one's departure (abandonment)
-// ends the wait. On success the flight is marked admitted, which is
-// what licenses the (single) release.
+// ends the wait. On success the flight holds its admission bytes, which
+// the window and the teardown give back exactly once in total.
 func (s *Service) admit(f *flight) error {
-	actx, cancel := context.WithCancel(context.Background()) //lint:allow ctxcheck the flight's wait is deliberately detached from any one waiter's ctx; abandonment (below) is its only cancellation
+	actx, cancel := context.WithCancel(context.Background()) //lint:allow ctxcheck the flight's wait is deliberately detached from any one waiter's ctx; abandonment is its only cancellation
 	defer cancel()
-	go func() {
-		// A flight whose every waiter detached while it was still queued
-		// must not sit in the gate forever: abandonment cancels the wait.
-		select {
-		case <-f.abandonCh:
-			cancel()
-		case <-actx.Done():
-		}
-	}()
-	if err := s.gate.Acquire(actx, f.session, f.admitBytes); err != nil { //lint:allow releasecheck the flight record owns this admission; spill flushes and releaseFlight give it back exactly once in total, gated by f.released
+	// A flight whose every waiter detached while it was still queued
+	// must not sit in the gate forever: abandonment cancels the wait.
+	f.mu.Lock()
+	if f.cancelAdmit = cancel; f.abandonMarked {
+		cancel()
+	}
+	f.mu.Unlock()
+	if err := s.gate.Acquire(actx, f.session, f.admitBytes); err != nil { //lint:allow releasecheck the flight record owns this admission; batches leaving the window and the teardown give it back exactly once in total, gated by f.released
 		return err
 	}
 	f.mu.Lock()
-	f.admitted = true
 	f.admitHeld = f.admitBytes
 	f.mu.Unlock()
 	return nil
 }
 
-// releaseFlight gives back a finished flight's admission bytes (0 when
-// the flight was never admitted) and retires its replay-buffer
-// accounting. The flight's released flag guarantees this runs at most
-// once per flight; the gate panics on a double release rather than
-// silently over-admitting.
-func (s *Service) releaseFlight(session string, admitted, buffered int64) {
+// retire gives back admission bytes (0 when there are none to give)
+// and takes decoded bytes off the replay gauge: the accounting of
+// batches leaving a window and of a flight's teardown. The gate panics
+// on a double release rather than silently over-admitting.
+func (s *Service) retire(session string, admitted, buffered int64) {
 	if admitted > 0 {
 		s.gate.Release(session, admitted)
 	}
-	s.rmu.Lock()
-	s.replay -= buffered
-	s.rmu.Unlock()
-}
-
-// addReplay charges one appended batch to the replay-buffer gauge. The
-// peak is sampled here, at every append — before any spill flush drains
-// the gauge — so it is the true high-water mark of resident replay
-// memory, not a completion-time reading.
-func (s *Service) addReplay(n int64) {
-	s.rmu.Lock()
-	s.replay += n
-	if s.replay > s.replayPeak {
-		s.replayPeak = s.replay
-	}
-	s.rmu.Unlock()
-}
-
-// noteSpill retires flushed bytes from the replay gauge and counts them
-// as spilled; first marks the flight's first successful flush.
-func (s *Service) noteSpill(first bool, n int64) {
-	if n == 0 && !first {
-		return
-	}
-	s.rmu.Lock()
-	if first {
-		s.spilledFlights++
-	}
-	s.spilledBytes += n
-	s.replay -= n
-	s.rmu.Unlock()
-}
-
-// noteSpillFailure counts a flight that stopped spilling for good.
-func (s *Service) noteSpillFailure() {
-	s.rmu.Lock()
-	s.spillFailures++
-	s.rmu.Unlock()
-}
-
-// noteSpillRead counts one batch replayed from a spill file.
-func (s *Service) noteSpillRead() {
-	s.rmu.Lock()
-	s.spillReads++
-	s.rmu.Unlock()
+	s.count(func(st *Stats) { st.ReplayBytes -= buffered })
 }
 
 // abandonIfUnreferenced cancels a flight whose every cursor has detached:
-// it is removed from the single-flight table (so no later request can
-// join a dying extraction), its pending admission wait is cancelled, and
-// the caller (the emit callback) stops the adapter stream. The refs
-// check happens under both locks, mirroring the join path, so a request
-// that found the flight in the table has always ref'd it before this can
-// observe zero. Both the emit callback and the last unref may race here;
-// the abandonMarked flag keeps the cancellation count and the admission
-// cancel single-shot.
+// it leaves the single-flight table (no later request can join a dying
+// extraction), a pending admission wait is cancelled, and the caller
+// (the emit callback) stops the adapter stream. The cursor check runs
+// under both locks, like the join path, so a request that found the
+// flight in the table has attached before this can see none. The emit
+// callback and the last unref may both get here: abandonMarked keeps it
+// single-shot, and admit checks it for an abandonment before the wait.
 func (s *Service) abandonIfUnreferenced(f *flight) bool {
 	s.fmu.Lock()
 	f.mu.Lock()
-	if f.refs > 0 || f.done || f.extracted {
+	if len(f.curs) > 0 || f.done {
 		f.mu.Unlock()
 		s.fmu.Unlock()
 		return false
 	}
-	first := !f.abandonMarked
-	f.abandonMarked = true
+	if !f.abandonMarked {
+		f.abandonMarked = true
+		s.count(func(st *Stats) { st.FlightsCancelled++ })
+		if f.cancelAdmit != nil {
+			f.cancelAdmit()
+		}
+	}
 	f.mu.Unlock()
 	s.removeLocked(f)
-	if first {
-		s.cancelled++
-	}
 	s.fmu.Unlock()
-	if first {
-		close(f.abandonCh)
-	}
 	return true
 }
 
 // removeLocked drops a flight from the single-flight table; callers hold
 // fmu. Removing an already-removed flight is a no-op.
 func (s *Service) removeLocked(f *flight) {
-	fs := s.flights[f.uri]
-	for i, other := range fs {
-		if other == f {
-			s.flights[f.uri] = append(fs[:i], fs[i+1:]...)
-			break
-		}
-	}
-	if len(s.flights[f.uri]) == 0 {
+	if fs := slices.DeleteFunc(s.flights[f.uri], func(o *flight) bool { return o == f }); len(fs) > 0 {
+		s.flights[f.uri] = fs
+	} else {
 		delete(s.flights, f.uri)
 	}
 }
 
-// flight is one in-progress extraction with replay: batches accumulate
-// so waiters joining mid-flight still see the file from the beginning.
-// Its budget bytes are held until the extraction is done AND the last
-// cursor has drained or closed — the replay buffer is resident memory,
-// so releasing at decode-end alone would let K queries over K distinct
-// files keep K whole decoded files live with the budget showing zero.
+// flight is one in-progress extraction and its window: the batches some
+// attached cursor has yet to read. The head is the slowest cursor's
+// position. Admission bytes leave with the batches, and the rest is
+// held until the extraction is done AND the last cursor has detached.
 type flight struct {
 	uri  string
 	span cache.Span
@@ -617,57 +515,130 @@ type flight struct {
 	admitBytes int64
 	session    string // admission identity of the request that led the flight
 	svc        *Service
-
-	// abandonCh is closed (once, by abandonIfUnreferenced) when every
-	// waiter has detached, cancelling a still-pending admission wait.
-	abandonCh chan struct{}
+	// The extraction, as a joiner's prefix repeats it.
+	path      string
+	adapter   catalog.FormatAdapter
+	batchRows int
 
 	mu            sync.Mutex
 	cond          *sync.Cond
-	batches       []*vector.Batch // resident replay tail: global indices [spilled, spilled+len)
-	buffered      int64           // resident replay-buffer bytes (vector.Batch.Bytes)
-	done          bool
+	curs          []*flightCursor // attached cursors
+	batches       []*vector.Batch // resident window: global indices [base, base+len)
+	base          int
+	buffered      int64 // resident window bytes (vector.Batch.Bytes)
+	parked        bool  // the extractor waits for a reading cursor
+	writing       bool  // the extractor is spilling: no batch may leave
+	done          bool  // the extraction is over; err is its outcome
 	err           error
-	refs          int   // attached cursors still replaying
-	extracted     bool  // the flight goroutine is finished
-	admitted      bool  // the gate granted the flight's bytes
-	admitHeld     int64 // admission bytes still held (spilling gives some back early)
-	released      bool  // budget bytes given back
-	abandonMarked bool  // counted as cancelled; abandonCh closed
+	admitHeld     int64  // admission bytes still held (0 until admitted)
+	released      bool   // teardown accounting done
+	abandonMarked bool   // counted as cancelled; admission wait cancelled
+	cancelAdmit   func() // cancels the admission wait; set when it starts
 
-	// Out-of-core state. Batches with global index < spilled live only
-	// in the spill file; spilled grows monotonically and only the flight
-	// goroutine writes the file, so a cursor that saw index i < spilled
-	// under mu may read frame i outside it.
+	// Out-of-core state. The spill file holds global indices [spillBase,
+	// spilled); a live file ends where the window begins (spilled ==
+	// base) and its frames are durable, so a cursor that saw index i <
+	// base under mu may read frame i outside it. Only a joiner falls below
+	// base, once; the file is replaced when every cursor is past it.
 	spill       *storage.SpillFile
 	spillW      *storage.BatchWriter
-	spilled     int  // batch frames durable in the spill file
+	spillBase   int
+	spilled     int
+	spilledAny  bool // counted in SpilledFlights
 	spillFailed bool // a spill write failed: stay in-memory for good
 }
 
-func newFlight(uri string, span cache.Span, size int64, session string, svc *Service) *flight {
-	f := &flight{uri: uri, span: span, size: size, admitBytes: size,
-		session: session, svc: svc, abandonCh: make(chan struct{})}
-	f.cond = sync.NewCond(&f.mu)
-	return f
+// errFlightAbandoned stops an extraction whose every waiter has
+// detached; errPrefixDone stops a joiner's prefix extraction.
+var (
+	errFlightAbandoned = errors.New("mountsvc: flight abandoned by all waiters")
+	errPrefixDone      = errors.New("mountsvc: prefix done")
+)
+
+// attach adds a cursor at the window's head, reading from there. A
+// cursor attaching after the head has left batch 0 first reads batches
+// [0, head) through its own prefix extraction (see flightCursor.Next),
+// and lags until that is done.
+func (f *flight) attach(ctx context.Context) *flightCursor {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	c := &flightCursor{f: f, ctx: ctx}
+	c.i, _ = f.windowLocked()
+	c.reading = c.i == 0
+	f.curs = append(f.curs, c)
+	return c
 }
 
-// ref attaches one cursor to the flight's replay buffer.
-func (f *flight) ref() {
-	f.mu.Lock()
-	f.refs++
-	f.mu.Unlock()
+// windowLocked returns the window's head, the slowest attached cursor's
+// position, and the slowest reading cursor's; each is the tail when no
+// cursor qualifies.
+func (f *flight) windowLocked() (head, read int) {
+	head, read = f.base+len(f.batches), f.base+len(f.batches)
+	for _, c := range f.curs {
+		head = min(head, c.i)
+		if c.reading {
+			read = min(read, c.i)
+		}
+	}
+	return head, read
 }
 
-// unref detaches a cursor (it drained to the end, errored, or closed);
-// the last detach after extraction releases the budget. When the last
-// detach happens before extraction finished — all waiters walked away —
-// the flight is abandoned, which also unblocks an admission wait still
-// queued in the gate.
-func (f *flight) unref() {
+// keep is the record filter of the flight's span (nil for a full span,
+// which includes every flight under file-granular caching); it counts
+// the records it drops in pruned.
+func (f *flight) keep(pruned *int) func(catalog.RecordMeta) bool {
+	if f.span.Full {
+		return nil
+	}
+	return func(rm catalog.RecordMeta) bool {
+		rlo, rhi, known := f.adapter.RecordSpan(rm)
+		if known && (rhi < f.span.Lo || rlo > f.span.Hi) {
+			*pruned++
+			return false
+		}
+		return true
+	}
+}
+
+// prefix extracts the flight's first n batches again, for a cursor that
+// attached at n: the same span, adapter and batch size emit the same
+// sequence. It holds no admission (one batch at a time), calls no
+// OnMount and fills no cache; its Touch finds the pages the flight has
+// just touched.
+func (f *flight) prefix(n int) iter.Seq2[*vector.Batch, error] {
+	return func(yield func(*vector.Batch, error) bool) {
+		if f.svc.cfg.Pool != nil {
+			f.svc.cfg.Pool.Touch(f.path, f.size)
+		}
+		err := f.adapter.MountStream(f.path, f.uri, f.keep(new(int)), f.batchRows, func(b *vector.Batch) error {
+			if b.Len() == 0 {
+				return nil
+			}
+			if n--; !yield(b, nil) || n == 0 {
+				return errPrefixDone
+			}
+			return nil
+		})
+		if err == nil {
+			err = fmt.Errorf("mountsvc: mount %s: prefix ended %d batches short", f.uri, n)
+		}
+		if !errors.Is(err, errPrefixDone) {
+			yield(nil, err)
+		}
+	}
+}
+
+// unref detaches a cursor (it drained to the end, errored, or closed):
+// the batches only it pinned leave the window and a parked extractor
+// re-checks. The last detach after extraction releases the budget; the
+// last before it — all waiters walked away — abandons the flight, which
+// also unblocks an admission wait still queued in the gate.
+func (f *flight) unref(c *flightCursor) {
 	f.mu.Lock()
-	f.refs--
-	abandon := f.refs <= 0 && !f.done && !f.extracted
+	f.curs = slices.DeleteFunc(f.curs, func(o *flightCursor) bool { return o == c })
+	abandon := len(f.curs) == 0 && !f.done
+	f.dropLocked()
+	f.cond.Broadcast()
 	f.maybeReleaseLocked()
 	f.mu.Unlock()
 	if abandon {
@@ -675,165 +646,180 @@ func (f *flight) unref() {
 	}
 }
 
-// extractionFinished marks the flight goroutine done for budget
-// purposes (called whether extraction succeeded or failed).
-func (f *flight) extractionFinished() {
+// finish ends the extraction, whether it succeeded or failed: cursors
+// see the end of the stream, and with none left the budget is released.
+func (f *flight) finish(err error) {
 	f.mu.Lock()
-	f.extracted = true
+	f.done, f.err = true, err
 	f.maybeReleaseLocked()
 	f.mu.Unlock()
+	f.cond.Broadcast()
 }
 
-// maybeReleaseLocked returns the flight's bytes exactly once: the
-// released flag is the single-shot guard shared by every path that can
-// end a flight (normal drain, error, cancellation mid-extraction, and
-// an admission wait that never held anything — admitted stays false and
-// zero budget bytes are released).
+// maybeReleaseLocked returns the flight's remaining bytes exactly once,
+// on every path that can end a flight (drain, error, cancellation, and
+// an admission wait that never held anything — admitHeld stays 0).
 func (f *flight) maybeReleaseLocked() {
-	if f.extracted && f.refs <= 0 && !f.released {
+	if f.done && len(f.curs) == 0 && !f.released {
 		f.released = true
-		held := int64(0)
-		if f.admitted {
-			held = f.admitHeld
-		}
-		f.svc.releaseFlight(f.session, held, f.buffered)
-		if f.spill != nil {
-			// Temp spill files never outlive their flight: normal drain,
-			// error and abandonment all come through here exactly once.
+		f.svc.retire(f.session, f.admitHeld, f.buffered)
+		if f.spill != nil { // spill files never outlive their flight
 			f.spill.Remove()
 			f.spill, f.spillW = nil, nil
 		}
 	}
 }
 
-// append stores one extracted batch in the replay buffer, charging its
-// decoded size to the service's replay gauge. The flight keeps its own
-// handle; cursors take copy-on-write shares of it on the way out.
-func (f *flight) append(b *vector.Batch) {
+// dropLocked lets the batches every cursor is past leave memory, unless
+// a spill is writing them.
+func (f *flight) dropLocked() {
+	if head, _ := f.windowLocked(); head > f.base && !f.writing {
+		f.leaveLocked(head - f.base)
+	}
+}
+
+// leaveLocked is the one path by which resident batches leave memory,
+// dropped or spilled: the n oldest leave the replay gauge and give back
+// a matching share of admission, which is what lets a file bigger than
+// the whole budget stream through it. It returns the bytes freed.
+func (f *flight) leaveLocked(n int) int64 {
+	var freed int64
+	for _, b := range f.batches[:n] {
+		freed += b.Bytes()
+	}
+	clear(f.batches[:n])
+	f.batches, f.base, f.buffered = f.batches[n:], f.base+n, f.buffered-freed
+	rel := min(f.admitHeld, freed)
+	f.admitHeld -= rel
+	f.svc.retire(f.session, rel, freed)
+	return freed
+}
+
+// append stores one extracted batch at the window's tail; cursors take
+// copy-on-write shares of it. Past the threshold it spills what only
+// joiners on their prefix pin and waits for the slowest reading cursor.
+// It reports false once every cursor has detached.
+func (f *flight) append(b *vector.Batch) bool {
 	if b == nil || b.Len() == 0 {
-		return
+		return true
 	}
 	n := b.Bytes()
+	f.svc.count(func(st *Stats) {
+		st.ReplayBytes += n
+		st.PeakReplayBytes = max(st.PeakReplayBytes, st.ReplayBytes)
+	})
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	f.batches = append(f.batches, b)
 	f.buffered += n
-	f.mu.Unlock()
-	f.svc.addReplay(n)
 	f.cond.Broadcast()
-	f.maybeSpill()
+	cfg := f.svc.cfg
+	for cfg.SpillDir != "" && cfg.SpillThresholdBytes > 0 && f.buffered > cfg.SpillThresholdBytes && len(f.curs) > 0 {
+		_, read := f.windowLocked()
+		if f.base < read && !f.spillFailed {
+			f.mu.Unlock()
+			f.spillPinned()
+			f.mu.Lock()
+			continue
+		}
+		if read == f.base+len(f.batches) {
+			break // no reading cursor is behind the tail: nobody to wait for
+		}
+		f.parked = true
+		f.cond.Wait()
+		f.parked = false
+	}
+	return len(f.curs) > 0
 }
 
-// maybeSpill flushes the resident replay buffer to the flight's spill
-// file once it exceeds the configured threshold. Only the flight
-// goroutine calls this (from append, between adapter emits), so it is
-// the sole writer of the spill file and the sole mutator of batches —
-// it may read the slice it last published without holding mu. Flushed
-// batches leave the replay gauge and give back a matching share of the
-// flight's admission bytes: data on disk no longer occupies the
-// memory budget, which is what lets a file bigger than the whole
-// budget stream through it.
-func (f *flight) maybeSpill() {
+// spillPinned moves the resident batches only joiners on their prefix
+// pin (below the slowest reading cursor) to the spill file they replay.
+// Only the extractor calls it, without mu: the write runs unlocked while
+// the writing flag keeps those batches resident. Out-of-core unavailable
+// (dir gone, disk full) keeps them in memory, never fails the flight.
+func (f *flight) spillPinned() {
 	svc := f.svc
-	if !svc.spillEnabled() {
-		return
-	}
 	f.mu.Lock()
-	over := f.buffered > svc.cfg.SpillThresholdBytes && !f.spillFailed
-	toFlush := f.batches
-	f.mu.Unlock()
-	if !over || len(toFlush) == 0 {
-		return
-	}
-	first := f.spillW == nil
-	if first {
-		sf, err := storage.CreateSpillFile(svc.cfg.SpillDir, "flight-*.spill")
-		if err != nil {
-			// Out-of-core unavailable (dir gone, disk full): degrade to
-			// the in-memory behaviour rather than failing the flight.
-			f.mu.Lock()
-			f.spillFailed = true
-			f.mu.Unlock()
-			svc.noteSpillFailure()
-			return
-		}
-		kinds := make([]vector.Kind, toFlush[0].NumCols())
-		for i, c := range toFlush[0].Cols {
-			kinds[i] = c.Kind()
-		}
-		model, clock := svc.diskModel()
-		w := storage.NewBatchWriter(sf.File(), kinds, model, clock)
-		f.mu.Lock()
-		f.spill, f.spillW = sf, w
+	_, upto := f.windowLocked()
+	if f.base >= upto { // the window moved on while mu was free
 		f.mu.Unlock()
+		return
 	}
-	var flushed int64
-	for i, b := range toFlush {
-		if err := f.spillW.Append(b); err != nil {
-			// A torn tail may be in the file; spilled was never advanced
-			// past it, so no cursor will read it. Keep everything resident
-			// from here on.
-			f.mu.Lock()
-			f.spillFailed = true
-			f.spilled += i
-			f.batches = f.batches[i:]
-			f.buffered -= flushed
-			f.mu.Unlock()
-			svc.noteSpillFailure()
-			svc.noteSpill(first && i > 0, flushed)
-			return
+	if f.spill != nil && f.spilled != f.base {
+		f.spill.Remove() // every cursor is past it
+		f.spill, f.spillW = nil, nil
+	}
+	sf, w, from := f.spill, f.spillW, f.base
+	bs := slices.Clone(f.batches[:upto-f.base])
+	f.writing = true
+	f.mu.Unlock()
+	var err error
+	if w == nil {
+		if sf, err = storage.CreateSpillFile(svc.cfg.SpillDir, "flight-*.spill"); err == nil {
+			kinds := make([]vector.Kind, bs[0].NumCols())
+			for i, c := range bs[0].Cols {
+				kinds[i] = c.Kind()
+			}
+			model, clock := svc.diskModel()
+			w = storage.NewBatchWriter(sf.File(), kinds, model, clock)
 		}
-		flushed += b.Bytes()
+	}
+	// spilled never covers a torn tail: on a failed write the rest stays
+	// resident, from here on.
+	n := 0
+	for err == nil && n < len(bs) {
+		if err = w.Append(bs[n]); err == nil {
+			n++
+		}
 	}
 	f.mu.Lock()
-	f.spilled += len(toFlush)
-	f.batches = f.batches[len(toFlush):]
-	f.buffered -= flushed
-	rel := int64(0)
-	if f.admitted {
-		rel = f.admitHeld
-		if rel > flushed {
-			rel = flushed
+	defer f.mu.Unlock()
+	f.writing = false
+	if f.spill == nil && sf != nil {
+		f.spill, f.spillW, f.spillBase, f.spilled = sf, w, from, from
+	}
+	if err != nil {
+		f.spillFailed = true
+		svc.count(func(st *Stats) { st.SpillFailures++ })
+	}
+	f.spilled += n
+	freed := f.leaveLocked(n)
+	svc.count(func(st *Stats) {
+		st.SpilledBytes += freed
+		if !f.spilledAny && n > 0 {
+			st.SpilledFlights++
 		}
-		f.admitHeld -= rel
-	}
-	f.mu.Unlock()
-	if rel > 0 {
-		svc.gate.Release(f.session, rel)
-	}
-	svc.noteSpill(first, flushed)
+	})
+	f.spilledAny = f.spilledAny || n > 0
+	f.dropLocked()
 }
 
-func (f *flight) finish(err error) {
-	f.mu.Lock()
-	f.done = true
-	f.err = err
-	f.mu.Unlock()
-	f.cond.Broadcast()
-}
-
-// flightCursor is one waiter's position in a flight. Closing a cursor
-// detaches the waiter without affecting the flight or other waiters —
-// an aborting query never starves the rest. A cursor detaches (for
-// budget accounting) as soon as it reaches end of stream, not only at
-// Close: a sequential union closes its inputs at query end, and holding
-// the budget that long would deadlock later mounts of the same query.
+// flightCursor is one waiter's position in a flight. Closing it detaches
+// the waiter without affecting the flight or other waiters. A cursor
+// detaches as soon as it reaches end of stream, not only at Close: a
+// sequential union closes its inputs at query end, and holding the
+// window and budget that long would deadlock later mounts of the query.
 //
-// Cancellation is per-cursor: when the waiter's request context dies,
-// Next returns its error promptly — even while blocked behind a flight
-// that is itself queued on the admission budget — and the waiter
-// detaches exactly like a Close. The flight is unaffected unless this
-// was its last waiter (abandonment).
+// Cancellation is per-cursor: when the request context dies, Next
+// returns its error promptly, even while the flight is queued on the
+// admission budget, and the waiter detaches like a Close. The flight is
+// unaffected unless this was its last waiter (abandonment).
 type flightCursor struct {
 	f        *flight
 	ctx      context.Context // may be nil: uncancellable
 	stop     func() bool     // releases the ctx watcher
-	i        int
+	i        int             // global index of the next batch; written under f.mu
+	reading  bool            // Next has run on the shared stream; written under f.mu
 	detached bool
 
+	// A joiner's private extraction of batches [0, attach position).
+	prefix     func() (*vector.Batch, error, bool)
+	stopPrefix func()
+
 	// Spill replay state: r reads the flight's spill file sequentially;
-	// rpos is the next frame it will decode. Frames this cursor already
-	// consumed from memory before they were flushed are decoded and
-	// discarded on the way past (their dictionary deltas are needed).
+	// rpos is the global index of the next frame it will decode. Frames
+	// before the cursor's position are decoded and discarded on the way
+	// past (their dictionary deltas are needed).
 	r    *storage.BatchReader
 	rpos int
 }
@@ -843,11 +829,23 @@ func (c *flightCursor) Next() (*vector.Batch, error) {
 	if c.detached {
 		return nil, nil
 	}
+	if !c.reading && (c.ctx == nil || c.ctx.Err() == nil) {
+		// A joiner still before its attach position: until its prefix is
+		// exhausted it is lagging, and this Next does not touch the flight.
+		if c.prefix == nil {
+			c.prefix, c.stopPrefix = iter.Pull2(c.f.prefix(c.i))
+		}
+		if b, err, ok := c.prefix(); ok {
+			if err != nil {
+				c.detach()
+			}
+			return b, err
+		}
+	}
 	f := c.f
 	if c.ctx != nil && c.stop == nil {
-		// Wake this waiter out of the replay wait when its context dies.
-		// Broadcast under f.mu so the wakeup can never slip between a
-		// waiter's ctx check and its cond.Wait.
+		// Wake this waiter when its context dies, broadcasting under f.mu
+		// so the wakeup cannot slip between its ctx check and cond.Wait.
 		c.stop = context.AfterFunc(c.ctx, func() {
 			f.mu.Lock()
 			f.cond.Broadcast()
@@ -855,34 +853,37 @@ func (c *flightCursor) Next() (*vector.Batch, error) {
 		})
 	}
 	f.mu.Lock()
+	c.reading = true
 	for {
 		if c.ctx != nil {
 			if err := c.ctx.Err(); err != nil {
 				f.mu.Unlock()
 				c.detach()
-				c.f.svc.noteWaiterCancel()
+				f.svc.count(func(st *Stats) { st.WaiterCancels++ })
 				return nil, err
 			}
 		}
-		if c.i < f.spilled {
-			// The batch lives only in the spill file now. Frames below
-			// spilled are durable and the file outlives every ref'd
-			// cursor, so the read happens outside mu.
-			path := f.spill.Path()
+		if c.i < f.base {
+			// The batch lives only in the spill file, which outlives every
+			// cursor still before its end, so the read happens outside mu.
+			path, base := f.spill.Path(), f.spillBase
 			f.mu.Unlock()
-			b, err := c.nextSpilled(path)
+			b, err := c.nextSpilled(path, base)
 			if err != nil {
 				c.detach()
 				return nil, err
 			}
-			c.f.svc.noteSpillRead()
+			f.svc.count(func(st *Stats) { st.SpillReplayReads++ })
+			f.mu.Lock()
+			c.advanceLocked()
+			f.mu.Unlock()
 			return b, nil
 		}
-		if idx := c.i - f.spilled; idx < len(f.batches) {
+		if idx := c.i - f.base; idx < len(f.batches) {
 			// Fan out a copy-on-write share: every waiter gets its own
-			// handle over the replay buffer's storage in O(1).
+			// handle over the window's storage in O(1).
 			b := f.batches[idx].Share()
-			c.i++
+			c.advanceLocked()
 			f.mu.Unlock()
 			return b, nil
 		}
@@ -896,17 +897,30 @@ func (c *flightCursor) Next() (*vector.Batch, error) {
 	}
 }
 
-// nextSpilled advances the cursor's spill reader to frame c.i and
-// returns that batch (exclusively owned: decoded fresh from disk, no
-// share bookkeeping needed).
-func (c *flightCursor) nextSpilled(path string) (*vector.Batch, error) {
+// advanceLocked moves the cursor past one batch: when it was the first
+// resident one, what every cursor has now passed leaves memory. Only a
+// parked extractor needs the news, so only then does it broadcast.
+func (c *flightCursor) advanceLocked() {
+	f := c.f
+	if c.i++; c.i-1 == f.base {
+		f.dropLocked()
+	}
+	if f.parked {
+		f.cond.Broadcast()
+	}
+}
+
+// nextSpilled advances the cursor's spill reader, whose first frame is
+// global index base, to frame c.i and returns that batch (exclusively
+// owned: decoded fresh from disk, no share bookkeeping needed).
+func (c *flightCursor) nextSpilled(path string, base int) (*vector.Batch, error) {
 	if c.r == nil {
 		model, clock := c.f.svc.diskModel()
 		r, err := storage.OpenBatchReader(path, model, clock)
 		if err != nil {
 			return nil, err
 		}
-		c.r = r
+		c.r, c.rpos = r, base
 	}
 	var b *vector.Batch
 	for c.rpos <= c.i {
@@ -920,12 +934,11 @@ func (c *flightCursor) nextSpilled(path string) (*vector.Batch, error) {
 		}
 		c.rpos++
 	}
-	c.i++
 	return b, nil
 }
 
 // detach ends the cursor's attachment exactly once and releases its
-// context watcher and spill reader.
+// context watcher, prefix extraction and spill reader.
 func (c *flightCursor) detach() {
 	if c.detached {
 		return
@@ -933,26 +946,20 @@ func (c *flightCursor) detach() {
 	c.detached = true
 	if c.stop != nil {
 		c.stop()
-		c.stop = nil
+	}
+	if c.stopPrefix != nil {
+		c.stopPrefix()
 	}
 	if c.r != nil {
 		c.r.Close()
-		c.r = nil
 	}
-	c.f.unref()
+	c.f.unref(c)
 }
 
 // Close implements Cursor.
 func (c *flightCursor) Close() error {
 	c.detach()
 	return nil
-}
-
-// noteWaiterCancel counts one cursor detached by its own context.
-func (s *Service) noteWaiterCancel() {
-	s.fmu.Lock()
-	s.waiterCancels++
-	s.fmu.Unlock()
 }
 
 // staticCursor chunks an already resident batch (a cache entry share).
@@ -965,19 +972,12 @@ type staticCursor struct {
 	size int
 }
 
-func newStaticCursor(b *vector.Batch, size int) *staticCursor {
-	return &staticCursor{b: b, size: size}
-}
-
 // Next implements Cursor.
 func (c *staticCursor) Next() (*vector.Batch, error) {
 	if c.b == nil || c.pos >= c.b.Len() {
 		return nil, nil
 	}
-	hi := c.pos + c.size
-	if hi > c.b.Len() {
-		hi = c.b.Len()
-	}
+	hi := min(c.pos+c.size, c.b.Len())
 	out := c.b.Slice(c.pos, hi)
 	c.pos = hi
 	return out, nil

@@ -361,16 +361,23 @@ func TestAbandonedFlightStopsMidFile(t *testing.T) {
 	}
 }
 
-// TestReplayBytesTrackedWithBatchBytes pins the replay-buffer gauge to
-// the vector-level size estimate rather than any ad-hoc guess.
+// TestReplayBytesTrackedWithBatchBytes pins the replay gauge to the
+// vector-level size estimate rather than any ad-hoc guess. A rider that
+// has read nothing pins the window, so every batch the reader took is
+// still resident.
 func TestReplayBytesTrackedWithBatchBytes(t *testing.T) {
 	dir := testFiles(t, map[string]int{"a.slow": 64})
-	ad := &slowAdapter{nBatches: 2, batchLen: 4}
+	ad := &slowAdapter{nBatches: 2, batchLen: 4, gate: make(chan struct{})}
 	svc := New(Config{RepoDir: dir})
 	cur, err := svc.Mount(Request{URI: "a.slow", Adapter: ad, Span: cache.FullSpan()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rider, err := svc.Mount(Request{URI: "a.slow", Adapter: ad, Span: cache.FullSpan()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(ad.gate)
 	var want int64
 	for i := 0; i < 2; i++ {
 		b, err := cur.Next()
@@ -385,6 +392,10 @@ func TestReplayBytesTrackedWithBatchBytes(t *testing.T) {
 	if b, err := cur.Next(); b != nil || err != nil {
 		t.Fatalf("expected end of stream, got (%v, %v)", b, err)
 	}
+	if got := svc.Stats().ReplayBytes; got != want {
+		t.Errorf("ReplayBytes = %d while the rider pins the window, want %d", got, want)
+	}
+	drain(t, rider)
 	st := svc.Stats()
 	if st.ReplayBytes != 0 {
 		t.Errorf("ReplayBytes = %d after last cursor drained, want 0", st.ReplayBytes)
@@ -539,21 +550,30 @@ func waitStat(t *testing.T, svc *Service, what string, cond func(Stats) bool) {
 	}
 }
 
-// holdBudget mounts a file and consumes its batches without reaching
-// end of stream, so the flight's budget bytes stay held; the returned
-// cursor releases them when drained or closed.
+// holdBudget mounts a file and leaves its cursor unread until the
+// flight is admitted: a cursor that has read nothing pins every batch,
+// so the flight's budget bytes stay held (with no threshold nothing
+// waits for it). The returned cursor's first Next drains the file and
+// releases them.
 func holdBudget(t *testing.T, svc *Service, ad *slowAdapter, uri string) Cursor {
 	t.Helper()
 	cur, err := svc.Mount(Request{URI: uri, Adapter: ad, Span: cache.FullSpan()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < ad.nBatches; i++ {
-		if b, err := cur.Next(); err != nil || b == nil {
-			t.Fatalf("batch %d: (%v, %v)", i, b, err)
+	waitStat(t, svc, "holder never admitted", func(st Stats) bool { return st.InFlightBytes > 0 })
+	return drainingCursor{cur}
+}
+
+// drainingCursor reads its whole stream in one Next.
+type drainingCursor struct{ Cursor }
+
+func (c drainingCursor) Next() (*vector.Batch, error) {
+	for {
+		if b, err := c.Cursor.Next(); b == nil || err != nil {
+			return b, err
 		}
 	}
-	return cur
 }
 
 // TestBudgetWaitCancellable is the satellite-1 regression at the
@@ -847,11 +867,10 @@ func TestCancelledMidExtractionReleasesBudgetOnce(t *testing.T) {
 	}
 }
 
-// TestBudgetHeldUntilReplayDrained pins the budget's lifetime: the
-// bytes of a flight stay accounted while any cursor can still replay
-// its buffer, and are released synchronously when the last cursor
-// drains — resident decoded data is what the budget bounds, not just
-// the decode phase.
+// TestBudgetHeldUntilReplayDrained pins the budget's lifetime: a
+// flight's bytes stay accounted while its batches are resident, batches
+// leaving the window give back their share, and the rest is released
+// synchronously when the last cursor drains.
 func TestBudgetHeldUntilReplayDrained(t *testing.T) {
 	const fileSize = 1000
 	dir := testFiles(t, map[string]int{"a.slow": fileSize})
@@ -862,14 +881,25 @@ func TestBudgetHeldUntilReplayDrained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Consume both batches but do not reach end of stream yet.
+	// Unread, both batches stay resident and hold the whole admission.
+	waitStat(t, svc, "extraction never finished", func(st Stats) bool {
+		return ad.streamed.Load() == 2 && st.InFlightBytes > 0
+	})
+	if got := svc.Stats().InFlightBytes; got != fileSize {
+		t.Errorf("budget released while batches are resident: in-flight %d", got)
+	}
+	// Consume both batches but do not reach end of stream yet: they leave
+	// the window and give back their bytes.
+	var read int64
 	for i := 0; i < 2; i++ {
-		if b, err := cur.Next(); err != nil || b == nil {
+		b, err := cur.Next()
+		if err != nil || b == nil {
 			t.Fatalf("batch %d: (%v, %v)", i, b, err)
 		}
+		read += b.Bytes()
 	}
-	if got := svc.Stats().InFlightBytes; got != fileSize {
-		t.Errorf("budget released while the replay buffer is still referenced: in-flight %d", got)
+	if got := svc.Stats().InFlightBytes; got != fileSize-read {
+		t.Errorf("in-flight %d after reading %d bytes of batches, want %d", got, read, fileSize-read)
 	}
 	// Drain to the end: release is synchronous with the detach.
 	if b, err := cur.Next(); b != nil || err != nil {
@@ -900,11 +930,13 @@ func spillBatchBytes(t *testing.T, batchLen int) int64 {
 }
 
 // TestFlightSpillsOverThreshold is the out-of-core contract at the
-// service level: a flight whose replay buffer exceeds the threshold
-// flushes it to a temp spill file, cursors (one that began in memory and
-// one that joined after the first flush) replay the identical stream
-// from disk, the replay gauge drains, and the temp file is gone once the
-// last cursor detaches.
+// service level: a flight whose window exceeds the threshold while a
+// lagging joiner (attached after batch 0 left, its prefix not yet
+// re-mounted) pins it flushes the pinned batches to a temp spill file;
+// joiners (that one, and one that attached after the first flush)
+// replay the identical stream from their prefix, the spill file and the
+// live tail, the replay gauge drains, and the temp file is gone once
+// the last cursor detaches.
 func TestFlightSpillsOverThreshold(t *testing.T) {
 	const nBatches, batchLen = 12, 32
 	bb := spillBatchBytes(t, batchLen)
@@ -913,63 +945,54 @@ func TestFlightSpillsOverThreshold(t *testing.T) {
 	ad := &slowAdapter{nBatches: nBatches, batchLen: batchLen, stepGate: make(chan struct{})}
 	svc := New(Config{RepoDir: dir, SpillDir: spillDir, SpillThresholdBytes: 2 * bb})
 
-	early, err := svc.Mount(Request{URI: "a.slow", Adapter: ad, Span: cache.FullSpan()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Let one batch through and consume it from memory before any spill.
-	ad.stepGate <- struct{}{}
-	b0, err := early.Next()
-	if err != nil || b0 == nil || b0.Len() != batchLen {
-		t.Fatalf("first batch: (%v, %v)", b0, err)
-	}
-	vals0 := append([]float64{}, b0.Cols[3].Float64s()...)
-	// Release half the file. Once the adapter has taken the token for
-	// batch mid it has appended batches 0..mid-1, and the buffer passed
-	// its two-batch threshold at the third: the first flush is on disk,
-	// the last batch is not decoded yet, and nobody has read the spill.
+	leader, early, leaderVals := lagJoiner(t, svc, ad, "a.slow")
+	// Half the file in lockstep with the reading leader. The early
+	// joiner pins batch 1 on, so the window passed its two-batch
+	// threshold at the third resident batch: the first flush is on disk,
+	// and nobody has read the spill.
 	const mid = nBatches / 2
-	for i := 1; i <= mid; i++ {
+	for i := 1; i < mid; i++ {
 		ad.stepGate <- struct{}{}
+		b, err := leader.Next()
+		if err != nil || b == nil {
+			t.Fatalf("leader batch %d: (%v, %v)", i, b, err)
+		}
+		leaderVals = append(leaderVals, b.Cols[3].Float64s()...)
 	}
 	if st := svc.Stats(); st.SpilledFlights != 1 || st.SpillReplayReads != 0 {
 		t.Fatalf("mid-flight: %+v, want one spilled flight and no replay reads yet", st)
 	}
-	// The late joiner: attached mid-flight, it must replay the spilled
-	// prefix from disk and then continue from the live tail.
+	// The late joiner attaches at the head the early one pins: it must
+	// re-mount batch 0, replay the spilled batches from disk and then
+	// continue from the live tail, while the leader reads on.
 	late, err := svc.Mount(Request{URI: "a.slow", Adapter: ad, Span: cache.FullSpan()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l0, err := late.Next()
-	if err != nil || l0 == nil {
-		t.Fatalf("late joiner's first batch: (%v, %v)", l0, err)
-	}
-	if st := svc.Stats(); st.SingleFlightHits != 1 || st.SpillReplayReads == 0 {
-		t.Fatalf("late joiner: %+v, want a single-flight join served from the spill file", st)
-	}
-	for i := mid + 1; i < nBatches; i++ {
-		ad.stepGate <- struct{}{}
-	}
-	collect := func(first *vector.Batch, cur Cursor) []float64 {
-		out := append([]float64{}, first.Cols[3].Float64s()...)
+	feed(t, ad)
+	rest := make(chan []float64)
+	go func() {
+		var out []float64
 		for {
-			b, err := cur.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if b == nil {
-				return out
+			b, err := leader.Next()
+			if err != nil || b == nil {
+				rest <- out
+				return
 			}
 			out = append(out, b.Cols[3].Float64s()...)
 		}
+	}()
+	lateVals := collectVals(t, late)
+	if st := svc.Stats(); st.SingleFlightHits != 2 || st.SpillReplayReads == 0 {
+		t.Fatalf("late joiner: %+v, want two single-flight joins and reads served from the spill file", st)
 	}
-	earlyVals, lateVals := collect(b0, early), collect(l0, late)
-	if len(earlyVals) != nBatches*batchLen {
-		t.Errorf("early cursor saw %d rows, want %d", len(earlyVals), nBatches*batchLen)
+	earlyVals := collectVals(t, early)
+	leaderVals = append(leaderVals, <-rest...)
+	if len(leaderVals) != nBatches*batchLen {
+		t.Errorf("leader saw %d rows, want %d", len(leaderVals), nBatches*batchLen)
 	}
-	if !reflect.DeepEqual(earlyVals, lateVals) {
-		t.Errorf("late joiner's stream differs from the early cursor's (%d vs %d rows)", len(lateVals), len(earlyVals))
+	if !reflect.DeepEqual(earlyVals, leaderVals) || !reflect.DeepEqual(lateVals, leaderVals) {
+		t.Errorf("joiners' streams differ from the leader's (%d, %d vs %d rows)", len(earlyVals), len(lateVals), len(leaderVals))
 	}
 
 	st := svc.Stats()
@@ -985,10 +1008,16 @@ func TestFlightSpillsOverThreshold(t *testing.T) {
 	if st.InFlightBytes != 0 {
 		t.Errorf("InFlightBytes = %d after drain, want 0", st.InFlightBytes)
 	}
-	if vals0[0] != 0 {
-		t.Errorf("first batch content changed: %v", vals0[0])
+	if leaderVals[0] != 0 {
+		t.Errorf("first batch content changed: %v", leaderVals[0])
 	}
-	ents, err := os.ReadDir(spillDir)
+	assertNoSpillFiles(t, spillDir)
+}
+
+// assertNoSpillFiles fails unless dir holds no file.
+func assertNoSpillFiles(t *testing.T, dir string) {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -998,42 +1027,22 @@ func TestFlightSpillsOverThreshold(t *testing.T) {
 }
 
 // TestSpillReplayIdenticalToMemory pins byte-identical fan-out: two
-// cursors — one pacing the extraction, one draining only after the
-// whole file has spilled — see exactly the same rows in the same order.
+// cursors — the leader pacing the extraction, and a joiner draining only
+// after everything it pinned has spilled — see exactly the same rows in
+// the same order. The joiner's batch 0 comes from its own prefix
+// extraction, the only second one.
 func TestSpillReplayIdenticalToMemory(t *testing.T) {
 	const nBatches, batchLen = 10, 16
 	bb := spillBatchBytes(t, batchLen)
 	spillDir := t.TempDir()
 	dir := testFiles(t, map[string]int{"a.slow": 2048})
-	// The gate holds the extraction until both cursors are attached: a
-	// flight that finished before the second Mount could not be joined.
-	ad := &slowAdapter{nBatches: nBatches, batchLen: batchLen, gate: make(chan struct{})}
+	ad := &slowAdapter{nBatches: nBatches, batchLen: batchLen, stepGate: make(chan struct{})}
 	svc := New(Config{RepoDir: dir, SpillDir: spillDir, SpillThresholdBytes: bb})
 
-	collect := func(cur Cursor) []float64 {
-		var out []float64
-		for {
-			b, err := cur.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if b == nil {
-				return out
-			}
-			out = append(out, b.Cols[3].Float64s()...)
-		}
-	}
-	c1, err := svc.Mount(Request{URI: "a.slow", Adapter: ad, Span: cache.FullSpan()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := svc.Mount(Request{URI: "a.slow", Adapter: ad, Span: cache.FullSpan()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	close(ad.gate)
-	got1 := collect(c1) // mostly rides the live stream
-	got2 := collect(c2) // replays after everything spilled
+	c1, c2, got1 := lagJoiner(t, svc, ad, "a.slow")
+	feed(t, ad)
+	got1 = append(got1, collectVals(t, c1)...) // rides the live stream
+	got2 := collectVals(t, c2)                 // replays after everything spilled
 	if len(got1) != nBatches*batchLen || len(got2) != len(got1) {
 		t.Fatalf("rows: %d vs %d, want %d", len(got1), len(got2), nBatches*batchLen)
 	}
@@ -1042,8 +1051,11 @@ func TestSpillReplayIdenticalToMemory(t *testing.T) {
 			t.Fatalf("row %d diverged: %v vs %v", i, got1[i], got2[i])
 		}
 	}
-	if ad.extractions.Load() != 1 {
-		t.Errorf("extractions = %d, want 1", ad.extractions.Load())
+	if ad.extractions.Load() != 2 {
+		t.Errorf("extractions = %d, want 2 (the flight and the joiner's prefix)", ad.extractions.Load())
+	}
+	if st := svc.Stats(); st.SpillReplayReads == 0 {
+		t.Errorf("the joiner read nothing back from the spill file: %+v", st)
 	}
 }
 
@@ -1084,33 +1096,37 @@ func TestPeakReplayHighWaterPerAppend(t *testing.T) {
 
 // TestSpillReleasesAdmissionAsBatchesLand: a mount whose admission
 // charge exceeds the budget still completes (oversized-alone), and
-// spilling hands budget bytes back while the flight is live, so a
-// second mount can be admitted before the first is drained.
+// spilling the batches a lagging joiner pins hands budget bytes back
+// while the flight is live, before that joiner has read them.
 func TestSpillReleasesAdmissionAsBatchesLand(t *testing.T) {
 	const batchLen = 64
 	bb := spillBatchBytes(t, batchLen)
 	spillDir := t.TempDir()
 	const fileSize = 10000
 	dir := testFiles(t, map[string]int{"big.slow": fileSize, "small.slow": 100})
-	ad := &slowAdapter{nBatches: 8, batchLen: batchLen}
+	ad := &slowAdapter{nBatches: 8, batchLen: batchLen, stepGate: make(chan struct{})}
 	svc := New(Config{RepoDir: dir, BudgetBytes: fileSize / 2, SpillDir: spillDir, SpillThresholdBytes: bb})
 
-	big, err := svc.Mount(Request{URI: "big.slow", Adapter: ad, Span: cache.FullSpan()})
-	if err != nil {
-		t.Fatal(err)
+	leader, joiner, _ := lagJoiner(t, svc, ad, "big.slow")
+	feed(t, ad)
+	if got := drain(t, leader); got != 7*batchLen {
+		t.Errorf("leader rows after the first batch = %d, want %d", got, 7*batchLen)
 	}
-	// Wait for the extraction to finish: everything has spilled, and the
-	// admission bytes must already be (mostly) back even though the
-	// cursor has not drained.
-	waitStat(t, svc, "flight never spilled", func(st Stats) bool {
-		return st.SpilledFlights == 1 && st.SpilledBytes >= int64(7)*bb
-	})
+	// The extraction is over and the joiner pins batches 1..7: all but
+	// what fits the threshold have spilled, and their admission bytes are
+	// back although the joiner has read none of them.
 	st := svc.Stats()
-	if st.InFlightBytes >= fileSize {
-		t.Errorf("InFlightBytes = %d: spilling returned no admission bytes", st.InFlightBytes)
+	if st.SpilledFlights != 1 || st.ReplayBytes > bb {
+		t.Fatalf("after the leader: %+v, want one spilled flight and at most the threshold resident", st)
 	}
-	if got := drain(t, big); got != 8*batchLen {
-		t.Errorf("big rows = %d, want %d", got, 8*batchLen)
+	if st.SpilledBytes < fileSize {
+		t.Fatalf("spilled %d bytes, fewer than the %d-byte file: the test no longer pins the release", st.SpilledBytes, fileSize)
+	}
+	if st.InFlightBytes != 0 {
+		t.Errorf("InFlightBytes = %d, want 0: spilling must give back what it flushed", st.InFlightBytes)
+	}
+	if got := drain(t, joiner); got != 8*batchLen {
+		t.Errorf("joiner rows = %d, want %d", got, 8*batchLen)
 	}
 	small, err := svc.Mount(Request{URI: "small.slow", Adapter: &slowAdapter{nBatches: 1, batchLen: 4}, Span: cache.FullSpan()})
 	if err != nil {
@@ -1134,24 +1150,25 @@ func TestSpillAbandonedFlightRemovesTempFile(t *testing.T) {
 	ad := &slowAdapter{nBatches: 50, batchLen: batchLen, stepGate: make(chan struct{})}
 	svc := New(Config{RepoDir: dir, SpillDir: spillDir, SpillThresholdBytes: bb})
 
-	cur, err := svc.Mount(Request{URI: "a.slow", Adapter: ad, Span: cache.FullSpan()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
+	leader, joiner, _ := lagJoiner(t, svc, ad, "a.slow")
+	for i := 1; i <= 4; i++ {
 		ad.stepGate <- struct{}{}
+		if b, err := leader.Next(); err != nil || b == nil {
+			t.Fatalf("leader batch %d: (%v, %v)", i, b, err)
+		}
 	}
-	// Wait until all four emits have fully landed: closing the cursor
+	// Wait until all five emits have fully landed: closing the cursors
 	// while an emit is still in flight would fail that emit's refcount
-	// check and stop the stream before the fifth token is consumed.
-	for deadline := time.Now().Add(5 * time.Second); ad.streamed.Load() < 4; {
+	// check and stop the stream before the next token is consumed.
+	for deadline := time.Now().Add(5 * time.Second); ad.streamed.Load() < 5; {
 		if time.Now().After(deadline) {
-			t.Fatal("adapter never finished the first four batches")
+			t.Fatal("adapter never finished the first five batches")
 		}
 		time.Sleep(time.Millisecond)
 	}
 	waitStat(t, svc, "flight never spilled", func(st Stats) bool { return st.SpilledFlights == 1 })
-	cur.Close()
+	leader.Close()
+	joiner.Close()
 	ad.stepGate <- struct{}{} // the next emit sees zero refs and stops
 	waitStat(t, svc, "abandoned spilling flight never released", func(st Stats) bool {
 		return st.FlightsCancelled == 1 && st.InFlightBytes == 0 && st.ReplayBytes == 0
