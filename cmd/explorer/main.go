@@ -14,13 +14,12 @@
 // provably narrower than a cached one is answered by re-filtering the
 // frozen entry in memory, mounting nothing. It requires -resultcache.
 //
-// -spilldir turns on out-of-core execution: a mount flight keeps a
-// window of -spillthreshold MiB, waits for its reading cursors past it,
-// and spills what a joiner still on its prefix pins to temp files under
-// DIR, and
-// (with -resultcache) the result cache persists under DIR across
-// restarts — reopening the same -db and -spilldir serves repeat queries
-// without executing anything. -spillthreshold requires -spilldir.
+// -spilldir gives the result cache (with -resultcache) a disk tier that
+// persists under DIR across restarts — reopening the same -db and
+// -spilldir serves repeat queries without executing anything.
+// -spillthreshold bounds each mount flight's window to that many MiB:
+// past it the extraction waits for its slowest reader. Flights never
+// write to disk.
 //
 // -cpuprofile and -memprofile write a CPU profile of the whole session,
 // engine start-up included, and an allocation profile taken when the
@@ -37,7 +36,7 @@
 //	\multi <sql>  multi-stage execution: ingest file-by-file, show partials
 //	\tables       list catalog tables
 //	\stats        session statistics plus the engine's mount-service
-//	              (admission gate, per-session, spilling), ingestion-cache,
+//	              (admission gate, per-session), ingestion-cache,
 //	              result-cache (including its disk tier) and
 //	              statistics-free-planner counters
 //	\quit         exit
@@ -80,8 +79,8 @@ func main() {
 		subsume  = flag.Bool("subsume", false, "answer narrower queries by re-filtering wider cached results (requires -resultcache)")
 		sessFlag = flag.String("session", "explorer", "session identity for the mount service's per-session admission stats")
 		nostats  = flag.Bool("nostats", false, "disable statistics-free Stage-2 planning (pruning, build sides, honest admission)")
-		spillDir = flag.String("spilldir", "", "directory for out-of-core spill files and the persistent result cache")
-		spillMB  = flag.Int64("spillthreshold", 0, "window size of a mount flight in MiB: past it the extraction waits for its readers and spills what a joiner still on its prefix pins (requires -spilldir)")
+		spillDir = flag.String("spilldir", "", "directory for the result cache's disk tier, persisted across restarts")
+		spillMB  = flag.Int64("spillthreshold", 0, "window size of a mount flight in MiB: past it the extraction waits for its slowest reader (0 = unbounded)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the session to this file")
 		memProf  = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
@@ -245,8 +244,6 @@ func printEngineStats(eng *core.Engine) {
 		ms.FlightsStarted, ms.SingleFlightHits, ms.CacheServes, ms.FlightsCancelled,
 		unit.FormatBytes(ms.InFlightBytes), unit.FormatBytes(ms.PeakInFlightBytes),
 		unit.FormatBytes(ms.ReplayBytes), unit.FormatBytes(ms.PeakReplayBytes))
-	fmt.Printf("spilling: %d flights spilled %s to disk, %d replay reads served from spill files, %d spill failures kept in memory\n",
-		ms.SpilledFlights, unit.FormatBytes(ms.SpilledBytes), ms.SpillReplayReads, ms.SpillFailures)
 	fmt.Printf("admission gate: queue depth %d, %d waits, %d cancelled, %d starvation-avoided\n",
 		ms.QueueDepth, ms.BudgetWaits, ms.BudgetCancelled, ms.StarvationAvoided)
 	printPerSession("  session", ms.PerSession)

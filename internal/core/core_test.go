@@ -501,8 +501,8 @@ func TestOpenRejectsUnhonouredOptions(t *testing.T) {
 		want string // error substring; "" means Open must succeed
 	}{
 		{"subsumption without cache", Options{ResultCacheSubsumption: true}, "ResultCacheBytes"},
-		{"spill threshold without dir", Options{SpillThresholdBytes: 1}, "SpillDir"},
 		{"subsumption with cache", Options{ResultCacheSubsumption: true, ResultCacheBytes: -1}, ""},
+		{"spill threshold without dir", Options{SpillThresholdBytes: 1}, ""},
 		{"spill threshold with dir", Options{SpillThresholdBytes: 1, SpillDir: spill}, ""},
 		{"spill threshold off without dir", Options{SpillThresholdBytes: -1}, ""},
 	} {

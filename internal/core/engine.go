@@ -111,22 +111,18 @@ type Options struct {
 	// bounds over passthrough output columns participate. Requires
 	// ResultCacheBytes != 0.
 	ResultCacheSubsumption bool
-	// SpillDir enables out-of-core execution: mount flights bound their
-	// windows by SpillThresholdBytes, spilling what a joiner still on its
-	// prefix pins to temp files under SpillDir/flights, and the result cache demotes
-	// cold entries to SpillDir/results instead of evicting them — the
-	// same directory a later Open warms the result cache from (repeat
-	// queries after a restart serve with zero executions). Empty
-	// disables both.
+	// SpillDir enables the result cache's disk tier: cold entries are
+	// demoted to SpillDir/results instead of evicted — the same directory
+	// a later Open warms the result cache from (repeat queries after a
+	// restart serve with zero executions). Empty disables it. Mount
+	// flights never write to disk.
 	SpillDir string
-	// SpillThresholdBytes is the size of a mount flight's window: the
+	// SpillThresholdBytes is the window size of a mount flight: the
 	// decoded bytes it keeps resident before its extractor waits for the
-	// slowest reading cursor, and before batches only a joiner still on
-	// its prefix needs go to disk. Batches leaving the window give
-	// back admission bytes, so a file whose decoded size exceeds
-	// MountBudgetBytes completes. <= 0 leaves windows unbounded even with
-	// SpillDir set (the result-cache disk tier still runs); > 0 requires
-	// SpillDir.
+	// slowest attached cursor. Batches leaving the window give back
+	// admission bytes, so a file whose decoded size exceeds
+	// MountBudgetBytes completes. <= 0 leaves windows unbounded. It needs
+	// no SpillDir.
 	SpillThresholdBytes int64
 	// ResultCacheDiskBytes bounds the result cache's disk tier (its own
 	// LRU, counted separately from ResultCacheBytes which covers resident
@@ -225,12 +221,8 @@ func Open(opts Options) (*Engine, error) {
 		e.derived = derived.NewStore()
 	}
 	if opts.SpillDir != "" {
-		// Two spill namespaces, so the flight sweep-and-replay logic and
-		// the result manifest never see each other's files.
-		for _, sub := range []string{"flights", "results"} {
-			if err := os.MkdirAll(filepath.Join(opts.SpillDir, sub), 0o755); err != nil {
-				return nil, fmt.Errorf("core: create spill dir: %w", err)
-			}
+		if err := os.MkdirAll(filepath.Join(opts.SpillDir, "results"), 0o755); err != nil {
+			return nil, fmt.Errorf("core: create spill dir: %w", err)
 		}
 	}
 	if opts.ResultCacheBytes != 0 {
@@ -261,14 +253,11 @@ func Open(opts Options) (*Engine, error) {
 	// path, so concurrent identical queries coalesce onto single flights
 	// and the admission budget holds across the whole engine.
 	svcCfg := mountsvc.Config{
-		RepoDir:     opts.RepoDir,
-		Pool:        pool,
-		Cache:       e.cache,
-		BudgetBytes: opts.MountBudgetBytes,
-	}
-	if opts.SpillDir != "" && opts.SpillThresholdBytes > 0 {
-		svcCfg.SpillDir = filepath.Join(opts.SpillDir, "flights")
-		svcCfg.SpillThresholdBytes = opts.SpillThresholdBytes
+		RepoDir:             opts.RepoDir,
+		Pool:                pool,
+		Cache:               e.cache,
+		BudgetBytes:         opts.MountBudgetBytes,
+		SpillThresholdBytes: opts.SpillThresholdBytes,
 	}
 	if e.derived != nil && e.dataValCol >= 0 && e.dataRIDCol >= 0 && e.dataSpanCol >= 0 {
 		rid, span, val := e.dataRIDCol, e.dataSpanCol, e.dataValCol
@@ -329,8 +318,6 @@ func (o Options) validate() error {
 		return fmt.Errorf("core: Options needs RepoDir and DBDir")
 	case o.ResultCacheSubsumption && o.ResultCacheBytes == 0:
 		return fmt.Errorf("core: ResultCacheSubsumption requires ResultCacheBytes")
-	case o.SpillThresholdBytes > 0 && o.SpillDir == "":
-		return fmt.Errorf("core: SpillThresholdBytes requires SpillDir")
 	}
 	return nil
 }

@@ -136,7 +136,7 @@ type MountStats struct {
 	// JoinOrderFlips is always 0: nothing sets it. It stays only because
 	// benchmark/engine.go still reads it; remove it together with that
 	// read.
-	JoinOrderFlips      int
+	JoinOrderFlips      int //lint:allow statcheck read by the benchmark module; removed with ROADMAP 7(d)
 	JoinBuildFlips      int
 	AdmissionBytesSaved int64
 }

@@ -82,7 +82,9 @@ func (u *Universe) indexStatsStructs(pkg *Package) {
 // statsWriteFacts records every write to a stats-struct field in pkg:
 // selector assignments and ++/--, address-taking (sync/atomic helpers
 // operate through &s.field), keyed and positional composite literals,
-// and whole-struct stores. Collected at load so the dead-counter rule
+// and whole-struct stores into a field or through a pointer. A copy into
+// a local (the Stats() snapshot) and &s.stats (an update callback's
+// argument) write no field. Collected at load so the dead-counter rule
 // sees the entire module before any package's pass runs.
 func (u *Universe) statsWriteFacts(pkg *Package) {
 	u.indexStatsStructs(pkg)
@@ -91,13 +93,13 @@ func (u *Universe) statsWriteFacts(pkg *Package) {
 			switch n := n.(type) {
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
-					u.recordStatsWrite(pkg, lhs)
+					u.recordStatsWrite(pkg, lhs, true)
 				}
 			case *ast.IncDecStmt:
-				u.recordStatsWrite(pkg, n.X)
+				u.recordStatsWrite(pkg, n.X, true)
 			case *ast.UnaryExpr:
 				if n.Op == token.AND {
-					u.recordStatsWrite(pkg, n.X)
+					u.recordStatsWrite(pkg, n.X, false)
 				}
 			case *ast.CompositeLit:
 				named := derefNamed(pkg.Info.TypeOf(n))
@@ -128,12 +130,15 @@ func (u *Universe) statsWriteFacts(pkg *Package) {
 }
 
 // recordStatsWrite handles one write target: a stats-struct field
-// selector, or an expression whose whole type is a stats struct (which
-// writes every field).
-func (u *Universe) recordStatsWrite(pkg *Package, e ast.Expr) {
+// selector, or, when whole is set, a field or dereference whose whole
+// type is a stats struct (which writes every field). A bare local is a
+// private copy, not a write.
+func (u *Universe) recordStatsWrite(pkg *Package, e ast.Expr, whole bool) {
 	e = ast.Unparen(e)
 	if star, ok := e.(*ast.StarExpr); ok {
 		e = ast.Unparen(star.X)
+	} else if _, ok := e.(*ast.SelectorExpr); !ok {
+		whole = false
 	}
 	if sel, ok := e.(*ast.SelectorExpr); ok {
 		if s, ok := pkg.Info.Selections[sel]; ok {
@@ -143,6 +148,9 @@ func (u *Universe) recordStatsWrite(pkg *Package, e ast.Expr) {
 				}
 			}
 		}
+	}
+	if !whole {
+		return
 	}
 	if named := derefNamed(pkg.Info.TypeOf(e)); named != nil && u.isStatsNamed(named) {
 		st := named.Underlying().(*types.Struct)

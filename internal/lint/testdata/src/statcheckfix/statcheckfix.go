@@ -1,7 +1,7 @@
 // Package statcheckfix seeds statcheck violations: unguarded writes to
 // fields of a mutex-guarded *Stats struct (including from goroutine
-// bodies), snapshots that alias receiver state past the unlock, and a
-// declared-but-never-updated counter — plus the allowed patterns
+// bodies), snapshots that alias receiver state past the unlock, and
+// declared-but-never-updated counters — plus the allowed patterns
 // (writes under the lock, Locked-suffix helpers, sync/atomic,
 // callback literals, private value copies, unguarded metadata types,
 // and the //lint:allow escape hatch).
@@ -123,6 +123,31 @@ func (i *Idle) Stats() IdleStats {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	return i.stats
+}
+
+// CopiedStats is guarded, and neither its snapshot's copy into a local
+// nor the &c.stats its update helper passes writes a field: its counter
+// is as dead as IdleStats.Polls.
+type CopiedStats struct {
+	Drops int64 // want `counter CopiedStats.Drops is declared but never updated`
+}
+
+type Copier struct {
+	mu    sync.Mutex
+	stats CopiedStats
+}
+
+func (c *Copier) Stats() CopiedStats {
+	c.mu.Lock()
+	st := c.stats
+	c.mu.Unlock()
+	return st
+}
+
+func (c *Copier) count(update func(*CopiedStats)) {
+	c.mu.Lock()
+	update(&c.stats)
+	c.mu.Unlock()
 }
 
 // FreeStats is not reachable from any mutex-owning struct: a

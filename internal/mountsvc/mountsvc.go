@@ -17,8 +17,8 @@
 //     joins after batch 0 left attaches at the window's head and
 //     re-mounts the batches before it privately, so its stream is a
 //     cold mount's. Past SpillThresholdBytes the extractor waits for the
-//     slowest reading cursor; only batches a joiner still on its prefix
-//     pins (it lags, and is never waited for) go to a spill file.
+//     slowest cursor, a joiner still on its prefix included: the prefix
+//     needs nothing the flight holds, so a flight never touches disk.
 //   - Admission budget: a cross-query gate (internal/admission) bounds
 //     the admission flights hold. A flight is charged its file's bytes
 //     when it starts and gives them back as its batches leave the window,
@@ -79,17 +79,11 @@ type Config struct {
 	// not files being extracted at once. A single file larger than the
 	// budget is admitted alone.
 	BudgetBytes int64
-	// SpillDir, together with SpillThresholdBytes > 0, bounds each
-	// flight's window: past the threshold the extractor waits for its
-	// reading cursors, and batches only a joiner still on its prefix
-	// needs go to a temp spill file under SpillDir (removed at flight
-	// teardown on every path) that the joiner replays. Batches leaving
-	// memory give back admission bytes, so a mount larger than the whole
-	// budget completes within it.
-	SpillDir string
-	// SpillThresholdBytes is the window size (decoded vector.Batch.Bytes
-	// resident per flight) above which a flight waits or spills; <= 0
-	// leaves windows unbounded even when SpillDir is set.
+	// SpillThresholdBytes is the window size: the decoded bytes
+	// (vector.Batch.Bytes) a flight keeps resident before its extractor
+	// waits for the slowest attached cursor. Batches leaving the window
+	// give back admission bytes, so a mount larger than the whole budget
+	// completes within it. <= 0 leaves windows unbounded.
 	SpillThresholdBytes int64
 }
 
@@ -155,10 +149,9 @@ type Request struct {
 // materializes a private copy without affecting anyone else.
 //
 // A caller reads a cursor as soon as Mount returns it, and then either
-// drains it or Closes it: a cursor counts as reading from attach, and a
-// flight past its threshold waits for its reading cursors. Only a
-// joiner still on its private prefix is not waited for; what it pins
-// spills instead.
+// drains it or Closes it: a flight past its threshold waits for every
+// attached cursor, a joiner still re-mounting its private prefix
+// included.
 type Cursor interface {
 	Next() (*vector.Batch, error)
 	Close() error
@@ -184,16 +177,10 @@ type Stats struct {
 	// at every append, so it is the true high-water mark.
 	ReplayBytes     int64
 	PeakReplayBytes int64
-	// Out-of-core counters: SpilledFlights counts flights that spilled
-	// batches a joiner on its prefix pinned, SpilledBytes the decoded bytes
-	// flushed (the memory the spill released), SpillReplayReads the
-	// batches cursors replayed from spill files instead of memory.
-	SpilledFlights   int64
-	SpilledBytes     int64
-	SpillReplayReads int64
-	// SpillFailures counts flights that fell back to holding pinned
-	// batches in memory because creating or writing the spill file failed.
-	SpillFailures int64
+	// SpilledBytes is always 0 (flights never spill); the benchmark reads it.
+	SpilledBytes int64 //lint:allow statcheck read by the benchmark module; removed with ROADMAP 7(d)
+	// SpillReplayReads is always 0 (nothing replays from disk); the benchmark reads it.
+	SpillReplayReads int64 //lint:allow statcheck read by the benchmark module; removed with ROADMAP 7(d)
 	// AdmissionBytesSaved totals the budget bytes honest (estimate-
 	// sized) admissions left free versus whole-file admission.
 	AdmissionBytesSaved int64
@@ -257,14 +244,6 @@ func (s *Service) count(update func(*Stats)) {
 	s.smu.Lock()
 	update(&s.st)
 	s.smu.Unlock()
-}
-
-// diskModel is what spill I/O is charged to: the pool's disk, or a free one.
-func (s *Service) diskModel() (storage.DiskModel, *storage.Clock) {
-	if s.cfg.Pool != nil {
-		return s.cfg.Pool.Model(), s.cfg.Pool.Clock()
-	}
-	return storage.NoCost(), nil
 }
 
 // Gate exposes the admission gate (benchmarks sample per-session waits).
@@ -349,7 +328,7 @@ func (s *Service) Mount(req Request) (Cursor, error) {
 // run is the flight goroutine: admission, modeled I/O, streaming
 // extraction, fan-out and cache fill. The budget is given back as
 // batches leave the window, and the rest once the extraction is done
-// AND every cursor has drained or closed (see flight.leaveLocked and
+// AND every cursor has drained or closed (see flight.dropLocked and
 // flight.unref).
 func (s *Service) run(f *flight, observe func(Delta)) {
 	finish := func(err error) {
@@ -383,9 +362,6 @@ func (s *Service) run(f *flight, observe func(Delta)) {
 
 	rows, pruned := 0, 0
 	err := f.adapter.MountStream(f.path, f.uri, f.keep(&pruned), f.batchRows, func(b *vector.Batch) error {
-		if s.abandonIfUnreferenced(f) {
-			return errFlightAbandoned
-		}
 		if s.cfg.OnMount != nil {
 			s.cfg.OnMount(f.uri, b)
 		}
@@ -526,26 +502,13 @@ type flight struct {
 	batches       []*vector.Batch // resident window: global indices [base, base+len)
 	base          int
 	buffered      int64 // resident window bytes (vector.Batch.Bytes)
-	parked        bool  // the extractor waits for a reading cursor
-	writing       bool  // the extractor is spilling: no batch may leave
+	parked        bool  // the extractor waits for a cursor behind the tail
 	done          bool  // the extraction is over; err is its outcome
 	err           error
 	admitHeld     int64  // admission bytes still held (0 until admitted)
 	released      bool   // teardown accounting done
 	abandonMarked bool   // counted as cancelled; admission wait cancelled
 	cancelAdmit   func() // cancels the admission wait; set when it starts
-
-	// Out-of-core state. The spill file holds global indices [spillBase,
-	// spilled); a live file ends where the window begins (spilled ==
-	// base) and its frames are durable, so a cursor that saw index i <
-	// base under mu may read frame i outside it. Only a joiner falls below
-	// base, once; the file is replaced when every cursor is past it.
-	spill       *storage.SpillFile
-	spillW      *storage.BatchWriter
-	spillBase   int
-	spilled     int
-	spilledAny  bool // counted in SpilledFlights
-	spillFailed bool // a spill write failed: stay in-memory for good
 }
 
 // errFlightAbandoned stops an extraction whose every waiter has
@@ -557,30 +520,25 @@ var (
 
 // attach adds a cursor at the window's head, reading from there. A
 // cursor attaching after the head has left batch 0 first reads batches
-// [0, head) through its own prefix extraction (see flightCursor.Next),
-// and lags until that is done.
+// [0, head) through its own prefix extraction (see flightCursor.Next);
+// the window keeps its attach position meanwhile.
 func (f *flight) attach(ctx context.Context) *flightCursor {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	c := &flightCursor{f: f, ctx: ctx}
-	c.i, _ = f.windowLocked()
+	c := &flightCursor{f: f, ctx: ctx, i: f.headLocked()}
 	c.reading = c.i == 0
 	f.curs = append(f.curs, c)
 	return c
 }
 
-// windowLocked returns the window's head, the slowest attached cursor's
-// position, and the slowest reading cursor's; each is the tail when no
-// cursor qualifies.
-func (f *flight) windowLocked() (head, read int) {
-	head, read = f.base+len(f.batches), f.base+len(f.batches)
+// headLocked returns the window's head: the slowest attached cursor's
+// position, or the tail when no cursor is attached.
+func (f *flight) headLocked() int {
+	head := f.base + len(f.batches)
 	for _, c := range f.curs {
 		head = min(head, c.i)
-		if c.reading {
-			read = min(read, c.i)
-		}
 	}
-	return head, read
+	return head
 }
 
 // keep is the record filter of the flight's span (nil for a full span,
@@ -663,26 +621,18 @@ func (f *flight) maybeReleaseLocked() {
 	if f.done && len(f.curs) == 0 && !f.released {
 		f.released = true
 		f.svc.retire(f.session, f.admitHeld, f.buffered)
-		if f.spill != nil { // spill files never outlive their flight
-			f.spill.Remove()
-			f.spill, f.spillW = nil, nil
-		}
 	}
 }
 
-// dropLocked lets the batches every cursor is past leave memory, unless
-// a spill is writing them.
+// dropLocked is the one path by which resident batches leave memory:
+// those every cursor is past leave the replay gauge and give back a
+// matching share of admission, which is what lets a file bigger than the
+// whole budget stream through it.
 func (f *flight) dropLocked() {
-	if head, _ := f.windowLocked(); head > f.base && !f.writing {
-		f.leaveLocked(head - f.base)
+	n := f.headLocked() - f.base
+	if n == 0 {
+		return
 	}
-}
-
-// leaveLocked is the one path by which resident batches leave memory,
-// dropped or spilled: the n oldest leave the replay gauge and give back
-// a matching share of admission, which is what lets a file bigger than
-// the whole budget stream through it. It returns the bytes freed.
-func (f *flight) leaveLocked(n int) int64 {
 	var freed int64
 	for _, b := range f.batches[:n] {
 		freed += b.Bytes()
@@ -692,13 +642,12 @@ func (f *flight) leaveLocked(n int) int64 {
 	rel := min(f.admitHeld, freed)
 	f.admitHeld -= rel
 	f.svc.retire(f.session, rel, freed)
-	return freed
 }
 
 // append stores one extracted batch at the window's tail; cursors take
-// copy-on-write shares of it. Past the threshold it spills what only
-// joiners on their prefix pin and waits for the slowest reading cursor.
-// It reports false once every cursor has detached.
+// copy-on-write shares of it. Past the threshold it waits while some
+// cursor is behind the tail. It reports false once every cursor has
+// detached.
 func (f *flight) append(b *vector.Batch) bool {
 	if b == nil || b.Len() == 0 {
 		return true
@@ -713,85 +662,13 @@ func (f *flight) append(b *vector.Batch) bool {
 	f.batches = append(f.batches, b)
 	f.buffered += n
 	f.cond.Broadcast()
-	cfg := f.svc.cfg
-	for cfg.SpillDir != "" && cfg.SpillThresholdBytes > 0 && f.buffered > cfg.SpillThresholdBytes && len(f.curs) > 0 {
-		_, read := f.windowLocked()
-		if f.base < read && !f.spillFailed {
-			f.mu.Unlock()
-			f.spillPinned()
-			f.mu.Lock()
-			continue
-		}
-		if read == f.base+len(f.batches) {
-			break // no reading cursor is behind the tail: nobody to wait for
-		}
+	limit := f.svc.cfg.SpillThresholdBytes
+	for limit > 0 && f.buffered > limit && f.headLocked() < f.base+len(f.batches) {
 		f.parked = true
 		f.cond.Wait()
 		f.parked = false
 	}
 	return len(f.curs) > 0
-}
-
-// spillPinned moves the resident batches only joiners on their prefix
-// pin (below the slowest reading cursor) to the spill file they replay.
-// Only the extractor calls it, without mu: the write runs unlocked while
-// the writing flag keeps those batches resident. Out-of-core unavailable
-// (dir gone, disk full) keeps them in memory, never fails the flight.
-func (f *flight) spillPinned() {
-	svc := f.svc
-	f.mu.Lock()
-	_, upto := f.windowLocked()
-	if f.base >= upto { // the window moved on while mu was free
-		f.mu.Unlock()
-		return
-	}
-	if f.spill != nil && f.spilled != f.base {
-		f.spill.Remove() // every cursor is past it
-		f.spill, f.spillW = nil, nil
-	}
-	sf, w, from := f.spill, f.spillW, f.base
-	bs := slices.Clone(f.batches[:upto-f.base])
-	f.writing = true
-	f.mu.Unlock()
-	var err error
-	if w == nil {
-		if sf, err = storage.CreateSpillFile(svc.cfg.SpillDir, "flight-*.spill"); err == nil {
-			kinds := make([]vector.Kind, bs[0].NumCols())
-			for i, c := range bs[0].Cols {
-				kinds[i] = c.Kind()
-			}
-			model, clock := svc.diskModel()
-			w = storage.NewBatchWriter(sf.File(), kinds, model, clock)
-		}
-	}
-	// spilled never covers a torn tail: on a failed write the rest stays
-	// resident, from here on.
-	n := 0
-	for err == nil && n < len(bs) {
-		if err = w.Append(bs[n]); err == nil {
-			n++
-		}
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.writing = false
-	if f.spill == nil && sf != nil {
-		f.spill, f.spillW, f.spillBase, f.spilled = sf, w, from, from
-	}
-	if err != nil {
-		f.spillFailed = true
-		svc.count(func(st *Stats) { st.SpillFailures++ })
-	}
-	f.spilled += n
-	freed := f.leaveLocked(n)
-	svc.count(func(st *Stats) {
-		st.SpilledBytes += freed
-		if !f.spilledAny && n > 0 {
-			st.SpilledFlights++
-		}
-	})
-	f.spilledAny = f.spilledAny || n > 0
-	f.dropLocked()
 }
 
 // flightCursor is one waiter's position in a flight. Closing it detaches
@@ -809,19 +686,12 @@ type flightCursor struct {
 	ctx      context.Context // may be nil: uncancellable
 	stop     func() bool     // releases the ctx watcher
 	i        int             // global index of the next batch; written under f.mu
-	reading  bool            // Next has run on the shared stream; written under f.mu
+	reading  bool            // past its prefix: Next reads the window
 	detached bool
 
 	// A joiner's private extraction of batches [0, attach position).
 	prefix     func() (*vector.Batch, error, bool)
 	stopPrefix func()
-
-	// Spill replay state: r reads the flight's spill file sequentially;
-	// rpos is the global index of the next frame it will decode. Frames
-	// before the cursor's position are decoded and discarded on the way
-	// past (their dictionary deltas are needed).
-	r    *storage.BatchReader
-	rpos int
 }
 
 // Next implements Cursor.
@@ -831,7 +701,7 @@ func (c *flightCursor) Next() (*vector.Batch, error) {
 	}
 	if !c.reading && (c.ctx == nil || c.ctx.Err() == nil) {
 		// A joiner still before its attach position: until its prefix is
-		// exhausted it is lagging, and this Next does not touch the flight.
+		// exhausted, this Next does not touch the flight.
 		if c.prefix == nil {
 			c.prefix, c.stopPrefix = iter.Pull2(c.f.prefix(c.i))
 		}
@@ -852,8 +722,8 @@ func (c *flightCursor) Next() (*vector.Batch, error) {
 			f.mu.Unlock()
 		})
 	}
-	f.mu.Lock()
 	c.reading = true
+	f.mu.Lock()
 	for {
 		if c.ctx != nil {
 			if err := c.ctx.Err(); err != nil {
@@ -862,22 +732,6 @@ func (c *flightCursor) Next() (*vector.Batch, error) {
 				f.svc.count(func(st *Stats) { st.WaiterCancels++ })
 				return nil, err
 			}
-		}
-		if c.i < f.base {
-			// The batch lives only in the spill file, which outlives every
-			// cursor still before its end, so the read happens outside mu.
-			path, base := f.spill.Path(), f.spillBase
-			f.mu.Unlock()
-			b, err := c.nextSpilled(path, base)
-			if err != nil {
-				c.detach()
-				return nil, err
-			}
-			f.svc.count(func(st *Stats) { st.SpillReplayReads++ })
-			f.mu.Lock()
-			c.advanceLocked()
-			f.mu.Unlock()
-			return b, nil
 		}
 		if idx := c.i - f.base; idx < len(f.batches) {
 			// Fan out a copy-on-write share: every waiter gets its own
@@ -910,35 +764,8 @@ func (c *flightCursor) advanceLocked() {
 	}
 }
 
-// nextSpilled advances the cursor's spill reader, whose first frame is
-// global index base, to frame c.i and returns that batch (exclusively
-// owned: decoded fresh from disk, no share bookkeeping needed).
-func (c *flightCursor) nextSpilled(path string, base int) (*vector.Batch, error) {
-	if c.r == nil {
-		model, clock := c.f.svc.diskModel()
-		r, err := storage.OpenBatchReader(path, model, clock)
-		if err != nil {
-			return nil, err
-		}
-		c.r, c.rpos = r, base
-	}
-	var b *vector.Batch
-	for c.rpos <= c.i {
-		var err error
-		b, err = c.r.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			return nil, fmt.Errorf("%w: spill file ended before frame %d", storage.ErrCorruptSpill, c.i)
-		}
-		c.rpos++
-	}
-	return b, nil
-}
-
 // detach ends the cursor's attachment exactly once and releases its
-// context watcher, prefix extraction and spill reader.
+// context watcher and prefix extraction.
 func (c *flightCursor) detach() {
 	if c.detached {
 		return
@@ -949,9 +776,6 @@ func (c *flightCursor) detach() {
 	}
 	if c.stopPrefix != nil {
 		c.stopPrefix()
-	}
-	if c.r != nil {
-		c.r.Close()
 	}
 	c.f.unref(c)
 }

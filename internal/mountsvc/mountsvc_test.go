@@ -910,9 +910,9 @@ func TestBudgetHeldUntilReplayDrained(t *testing.T) {
 	}
 }
 
-// spillBatchBytes returns the decoded size of one of the slow adapter's
-// batches, the unit the spill threshold is denominated in.
-func spillBatchBytes(t *testing.T, batchLen int) int64 {
+// batchBytes returns the decoded size of one of the slow adapter's
+// batches, the unit the window threshold is denominated in.
+func batchBytes(t *testing.T, batchLen int) int64 {
 	t.Helper()
 	dir := testFiles(t, map[string]int{"probe.slow": 64})
 	svc := New(Config{RepoDir: dir})
@@ -930,28 +930,25 @@ func spillBatchBytes(t *testing.T, batchLen int) int64 {
 }
 
 // TestFlightSpillsOverThreshold is the out-of-core contract at the
-// service level: a flight whose window exceeds the threshold while a
+// service level: a flight whose window passes the threshold while a
 // lagging joiner (attached after batch 0 left, its prefix not yet
-// re-mounted) pins it flushes the pinned batches to a temp spill file;
-// joiners (that one, and one that attached after the first flush)
-// replay the identical stream from their prefix, the spill file and the
-// live tail, the replay gauge drains, and the temp file is gone once
-// the last cursor detaches.
+// re-mounted) holds it waits for that joiner, and writes nothing to
+// disk. A late joiner attaching while the extractor waits re-mounts its
+// own prefix; the three streams are a cold mount's, the window never
+// held more than the threshold plus one batch, the gauges drain, and no
+// temporary file was created.
 func TestFlightSpillsOverThreshold(t *testing.T) {
 	const nBatches, batchLen = 12, 32
-	bb := spillBatchBytes(t, batchLen)
-	spillDir := t.TempDir()
+	bb := batchBytes(t, batchLen)
+	noTempFiles := watchTempDir(t)
 	dir := testFiles(t, map[string]int{"a.slow": 4096})
 	ad := &slowAdapter{nBatches: nBatches, batchLen: batchLen, stepGate: make(chan struct{})}
-	svc := New(Config{RepoDir: dir, SpillDir: spillDir, SpillThresholdBytes: 2 * bb})
+	svc := New(Config{RepoDir: dir, SpillThresholdBytes: 2 * bb})
 
 	leader, early, leaderVals := lagJoiner(t, svc, ad, "a.slow")
-	// Half the file in lockstep with the reading leader. The early
-	// joiner pins batch 1 on, so the window passed its two-batch
-	// threshold at the third resident batch: the first flush is on disk,
-	// and nobody has read the spill.
-	const mid = nBatches / 2
-	for i := 1; i < mid; i++ {
+	// Lockstep with the reading leader: the early joiner holds batch 1
+	// on, so the window passes its two-batch threshold at batch 3.
+	for i := 1; i <= 3; i++ {
 		ad.stepGate <- struct{}{}
 		b, err := leader.Next()
 		if err != nil || b == nil {
@@ -959,118 +956,90 @@ func TestFlightSpillsOverThreshold(t *testing.T) {
 		}
 		leaderVals = append(leaderVals, b.Cols[3].Float64s()...)
 	}
-	if st := svc.Stats(); st.SpilledFlights != 1 || st.SpillReplayReads != 0 {
-		t.Fatalf("mid-flight: %+v, want one spilled flight and no replay reads yet", st)
-	}
-	// The late joiner attaches at the head the early one pins: it must
-	// re-mount batch 0, replay the spilled batches from disk and then
-	// continue from the live tail, while the leader reads on.
+	feed(t, ad)
+	waitParked(t, svc, ad, 2*bb)
+	// The late joiner attaches at the head the early one holds: it
+	// re-mounts batch 0 and then reads the window, while the leader and
+	// the early joiner read on.
 	late, err := svc.Mount(Request{URI: "a.slow", Adapter: ad, Span: cache.FullSpan()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	feed(t, ad)
-	rest := make(chan []float64)
-	go func() {
-		var out []float64
-		for {
-			b, err := leader.Next()
-			if err != nil || b == nil {
-				rest <- out
-				return
-			}
-			out = append(out, b.Cols[3].Float64s()...)
-		}
-	}()
+	if st := svc.Stats(); st.SingleFlightHits != 2 {
+		t.Fatalf("late request did not join the flight: %+v", st)
+	}
+	rest, earlyCh := collectAsync(leader), collectAsync(early)
 	lateVals := collectVals(t, late)
-	if st := svc.Stats(); st.SingleFlightHits != 2 || st.SpillReplayReads == 0 {
-		t.Fatalf("late joiner: %+v, want two single-flight joins and reads served from the spill file", st)
-	}
-	earlyVals := collectVals(t, early)
+	earlyVals := <-earlyCh
 	leaderVals = append(leaderVals, <-rest...)
-	if len(leaderVals) != nBatches*batchLen {
-		t.Errorf("leader saw %d rows, want %d", len(leaderVals), nBatches*batchLen)
-	}
-	if !reflect.DeepEqual(earlyVals, leaderVals) || !reflect.DeepEqual(lateVals, leaderVals) {
-		t.Errorf("joiners' streams differ from the leader's (%d, %d vs %d rows)", len(earlyVals), len(lateVals), len(leaderVals))
-	}
 
+	want := coldVals(t, dir, "a.slow", nBatches, batchLen)
+	if len(want) != nBatches*batchLen || !reflect.DeepEqual(leaderVals, want) ||
+		!reflect.DeepEqual(earlyVals, want) || !reflect.DeepEqual(lateVals, want) {
+		t.Errorf("rows: leader %d, early %d, late %d, cold %d; want identical streams of %d",
+			len(leaderVals), len(earlyVals), len(lateVals), len(want), nBatches*batchLen)
+	}
+	if got := ad.extractions.Load(); got != 3 {
+		t.Errorf("extractions = %d, want 3 (the flight and two prefixes)", got)
+	}
 	st := svc.Stats()
-	if st.SpilledFlights != 1 {
-		t.Errorf("SpilledFlights = %d, want 1", st.SpilledFlights)
+	if st.SpilledBytes != 0 || st.SpillReplayReads != 0 {
+		t.Errorf("spill counters = %+v, want 0", st)
 	}
-	if st.SpilledBytes <= 0 || st.SpillReplayReads <= 0 {
-		t.Errorf("spill counters = %+v, want positive SpilledBytes and SpillReplayReads", st)
+	if st.PeakReplayBytes > 3*bb {
+		t.Errorf("PeakReplayBytes = %d, want <= threshold+batch = %d", st.PeakReplayBytes, 3*bb)
 	}
-	if st.ReplayBytes != 0 {
-		t.Errorf("ReplayBytes = %d after drain, want 0", st.ReplayBytes)
-	}
-	if st.InFlightBytes != 0 {
-		t.Errorf("InFlightBytes = %d after drain, want 0", st.InFlightBytes)
-	}
-	if leaderVals[0] != 0 {
-		t.Errorf("first batch content changed: %v", leaderVals[0])
-	}
-	assertNoSpillFiles(t, spillDir)
+	assertIdle(t, svc)
+	noTempFiles()
 }
 
-// assertNoSpillFiles fails unless dir holds no file.
-func assertNoSpillFiles(t *testing.T, dir string) {
-	t.Helper()
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 0 {
-		t.Errorf("spill dir not empty after flight teardown: %v", ents)
-	}
-}
-
-// TestSpillReplayIdenticalToMemory pins byte-identical fan-out: two
-// cursors — the leader pacing the extraction, and a joiner draining only
-// after everything it pinned has spilled — see exactly the same rows in
-// the same order. The joiner's batch 0 comes from its own prefix
-// extraction, the only second one.
+// TestSpillReplayIdenticalToMemory pins byte-identical fan-out under a
+// window: a leader pacing the extraction and a lagging joiner see
+// exactly the rows the same two cursors see from a flight with no
+// threshold, which keeps every unread batch in memory. In both, the
+// joiner's batch 0 comes from its own prefix extraction, the only
+// second one.
 func TestSpillReplayIdenticalToMemory(t *testing.T) {
 	const nBatches, batchLen = 10, 16
-	bb := spillBatchBytes(t, batchLen)
-	spillDir := t.TempDir()
+	bb := batchBytes(t, batchLen)
 	dir := testFiles(t, map[string]int{"a.slow": 2048})
-	ad := &slowAdapter{nBatches: nBatches, batchLen: batchLen, stepGate: make(chan struct{})}
-	svc := New(Config{RepoDir: dir, SpillDir: spillDir, SpillThresholdBytes: bb})
-
-	c1, c2, got1 := lagJoiner(t, svc, ad, "a.slow")
-	feed(t, ad)
-	got1 = append(got1, collectVals(t, c1)...) // rides the live stream
-	got2 := collectVals(t, c2)                 // replays after everything spilled
-	if len(got1) != nBatches*batchLen || len(got2) != len(got1) {
-		t.Fatalf("rows: %d vs %d, want %d", len(got1), len(got2), nBatches*batchLen)
-	}
-	for i := range got1 {
-		if got1[i] != got2[i] {
-			t.Fatalf("row %d diverged: %v vs %v", i, got1[i], got2[i])
+	streams := func(threshold int64) (leader, joiner []float64) {
+		ad := &slowAdapter{nBatches: nBatches, batchLen: batchLen, stepGate: make(chan struct{})}
+		svc := New(Config{RepoDir: dir, SpillThresholdBytes: threshold})
+		c1, c2, got1 := lagJoiner(t, svc, ad, "a.slow")
+		feed(t, ad)
+		rest := collectAsync(c1) // rides the live stream
+		got2 := collectVals(t, c2)
+		got1 = append(got1, <-rest...)
+		if got := ad.extractions.Load(); got != 2 {
+			t.Errorf("threshold %d: extractions = %d, want 2 (the flight and the joiner's prefix)", threshold, got)
 		}
+		assertIdle(t, svc)
+		return got1, got2
 	}
-	if ad.extractions.Load() != 2 {
-		t.Errorf("extractions = %d, want 2 (the flight and the joiner's prefix)", ad.extractions.Load())
+	memLeader, memJoiner := streams(0)
+	winLeader, winJoiner := streams(bb)
+	if len(memLeader) != nBatches*batchLen {
+		t.Fatalf("rows: %d, want %d", len(memLeader), nBatches*batchLen)
 	}
-	if st := svc.Stats(); st.SpillReplayReads == 0 {
-		t.Errorf("the joiner read nothing back from the spill file: %+v", st)
+	for name, got := range map[string][]float64{"in-memory joiner": memJoiner, "windowed leader": winLeader, "windowed joiner": winJoiner} {
+		if !reflect.DeepEqual(got, memLeader) {
+			t.Errorf("%s: %d rows differ from the in-memory leader's %d", name, len(got), len(memLeader))
+		}
 	}
 }
 
-// TestPeakReplayHighWaterPerAppend is the satellite regression: the
-// peak replay gauge must be sampled at every append, not at flight
-// completion. With spilling enabled the gauge drains mid-flight and is
-// zero by completion — a completion-time sample would record nothing,
-// and an unspilled cumulative sum would record the whole file.
+// TestPeakReplayHighWaterPerAppend: the peak replay gauge must be
+// sampled at every append, not at flight completion. With a bounded
+// window the gauge drains mid-flight and is zero by completion — a
+// completion-time sample would record nothing, and a cumulative sum
+// would record the whole file.
 func TestPeakReplayHighWaterPerAppend(t *testing.T) {
 	const nBatches, batchLen = 16, 32
-	bb := spillBatchBytes(t, batchLen)
-	spillDir := t.TempDir()
+	bb := batchBytes(t, batchLen)
 	dir := testFiles(t, map[string]int{"a.slow": 4096})
 	ad := &slowAdapter{nBatches: nBatches, batchLen: batchLen}
-	svc := New(Config{RepoDir: dir, SpillDir: spillDir, SpillThresholdBytes: 2 * bb})
+	svc := New(Config{RepoDir: dir, SpillThresholdBytes: 2 * bb})
 
 	cur, err := svc.Mount(Request{URI: "a.slow", Adapter: ad, Span: cache.FullSpan()})
 	if err != nil {
@@ -1082,11 +1051,11 @@ func TestPeakReplayHighWaterPerAppend(t *testing.T) {
 		t.Fatalf("ReplayBytes = %d after drain, want 0", st.ReplayBytes)
 	}
 	if st.PeakReplayBytes == 0 {
-		t.Error("PeakReplayBytes = 0: peak was sampled at completion, after the spill drained the gauge")
+		t.Error("PeakReplayBytes = 0: peak was sampled at completion, after the window drained the gauge")
 	}
 	total := int64(nBatches) * bb
 	if st.PeakReplayBytes >= total {
-		t.Errorf("PeakReplayBytes = %d, want < %d: spilling must bound resident replay below the whole file", st.PeakReplayBytes, total)
+		t.Errorf("PeakReplayBytes = %d, want < %d: the window must bound resident replay below the whole file", st.PeakReplayBytes, total)
 	}
 	// The bound is threshold + one over-the-line batch.
 	if max := 3 * bb; st.PeakReplayBytes > max {
@@ -1095,38 +1064,53 @@ func TestPeakReplayHighWaterPerAppend(t *testing.T) {
 }
 
 // TestSpillReleasesAdmissionAsBatchesLand: a mount whose admission
-// charge exceeds the budget still completes (oversized-alone), and
-// spilling the batches a lagging joiner pins hands budget bytes back
-// while the flight is live, before that joiner has read them.
+// charge exceeds the budget still completes (oversized-alone) under a
+// window, and the batches leaving the window hand budget bytes back
+// while the flight is live: with the extractor parked on a joiner and
+// the file not yet extracted, the admission of every batch both cursors
+// have read is back, and a second mount is admitted. The release is
+// exactly once across the window and the teardown.
 func TestSpillReleasesAdmissionAsBatchesLand(t *testing.T) {
-	const batchLen = 64
-	bb := spillBatchBytes(t, batchLen)
-	spillDir := t.TempDir()
-	const fileSize = 10000
-	dir := testFiles(t, map[string]int{"big.slow": fileSize, "small.slow": 100})
-	ad := &slowAdapter{nBatches: 8, batchLen: batchLen, stepGate: make(chan struct{})}
-	svc := New(Config{RepoDir: dir, BudgetBytes: fileSize / 2, SpillDir: spillDir, SpillThresholdBytes: bb})
+	const nBatches, batchLen = 8, 64
+	bb := batchBytes(t, batchLen)
+	// More than the five batches read below: part of the admission is
+	// still held when the second mount arrives.
+	const fileSize = 20000
+	// Names as long as batchBytes' probe, so every batch is bb bytes.
+	dir := testFiles(t, map[string]int{"large.slow": fileSize, "small.slow": 100})
+	ad := &slowAdapter{nBatches: nBatches, batchLen: batchLen, stepGate: make(chan struct{})}
+	svc := New(Config{RepoDir: dir, BudgetBytes: fileSize / 2, SpillThresholdBytes: bb})
 
-	leader, joiner, _ := lagJoiner(t, svc, ad, "big.slow")
+	leader, joiner, _ := lagJoiner(t, svc, ad, "large.slow")
 	feed(t, ad)
-	if got := drain(t, leader); got != 7*batchLen {
-		t.Errorf("leader rows after the first batch = %d, want %d", got, 7*batchLen)
+	rest := collectAsync(leader)
+	// The joiner re-mounts batch 0 and reads batches 1..4 of the flight:
+	// both cursors are past batches 0..4, so they have left the window.
+	const read = 5
+	for i := 0; i < read; i++ {
+		if b, err := joiner.Next(); err != nil || b == nil {
+			t.Fatalf("joiner batch %d: (%v, %v)", i, b, err)
+		}
 	}
-	// The extraction is over and the joiner pins batches 1..7: all but
-	// what fits the threshold have spilled, and their admission bytes are
-	// back although the joiner has read none of them.
+	// The leader reads on its own goroutine, and batch 4 leaves once it
+	// too is past it: only then can batch 5's emit return.
+	for deadline := time.Now().Add(5 * time.Second); ad.streamed.Load() <= read; {
+		if time.Now().After(deadline) {
+			t.Fatal("batch 4 never left the window")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	waitParked(t, svc, ad, bb)
+	want := fileSize - read*bb
+	if want <= 0 {
+		t.Fatalf("%d read batches of %d bytes outweigh the file: the test no longer pins a partial release", read, bb)
+	}
 	st := svc.Stats()
-	if st.SpilledFlights != 1 || st.ReplayBytes > bb {
-		t.Fatalf("after the leader: %+v, want one spilled flight and at most the threshold resident", st)
+	if st.PeakInFlightBytes != fileSize {
+		t.Fatalf("PeakInFlightBytes = %d, want the whole %d-byte file admitted alone", st.PeakInFlightBytes, fileSize)
 	}
-	if st.SpilledBytes < fileSize {
-		t.Fatalf("spilled %d bytes, fewer than the %d-byte file: the test no longer pins the release", st.SpilledBytes, fileSize)
-	}
-	if st.InFlightBytes != 0 {
-		t.Errorf("InFlightBytes = %d, want 0: spilling must give back what it flushed", st.InFlightBytes)
-	}
-	if got := drain(t, joiner); got != 8*batchLen {
-		t.Errorf("joiner rows = %d, want %d", got, 8*batchLen)
+	if st.InFlightBytes != want {
+		t.Errorf("InFlightBytes = %d mid-flight, want %d: the %d read batches must give back their bytes (batch: %d)", st.InFlightBytes, want, read, bb)
 	}
 	small, err := svc.Mount(Request{URI: "small.slow", Adapter: &slowAdapter{nBatches: 1, batchLen: 4}, Span: cache.FullSpan()})
 	if err != nil {
@@ -1135,58 +1119,44 @@ func TestSpillReleasesAdmissionAsBatchesLand(t *testing.T) {
 	if got := drain(t, small); got != 4 {
 		t.Errorf("small rows = %d", got)
 	}
-	if got := svc.Stats().InFlightBytes; got != 0 {
-		t.Errorf("InFlightBytes = %d at idle, want 0 (exactly-once release across spill flushes and teardown)", got)
+	if got := drain(t, joiner); got != (nBatches-read)*batchLen {
+		t.Errorf("joiner rows after batch %d = %d, want %d", read-1, got, (nBatches-read)*batchLen)
 	}
+	if got := len(<-rest); got != (nBatches-1)*batchLen {
+		t.Errorf("leader rows after the first batch = %d, want %d", got, (nBatches-1)*batchLen)
+	}
+	assertIdle(t, svc)
 }
 
-// TestSpillAbandonedFlightRemovesTempFile: cancelling every waiter of a
-// spilling flight stops the extraction and deletes the spill file.
+// TestSpillAbandonedFlightRemovesTempFile: closing every waiter of a
+// flight parked on a lagging joiner stops the extraction and releases
+// both gauges, and the flight leaves no temporary file behind.
 func TestSpillAbandonedFlightRemovesTempFile(t *testing.T) {
-	const batchLen = 32
-	bb := spillBatchBytes(t, batchLen)
-	spillDir := t.TempDir()
+	const nBatches, batchLen = 50, 32
+	bb := batchBytes(t, batchLen)
+	noTempFiles := watchTempDir(t)
 	dir := testFiles(t, map[string]int{"a.slow": 2048})
-	ad := &slowAdapter{nBatches: 50, batchLen: batchLen, stepGate: make(chan struct{})}
-	svc := New(Config{RepoDir: dir, SpillDir: spillDir, SpillThresholdBytes: bb})
+	ad := &slowAdapter{nBatches: nBatches, batchLen: batchLen, stepGate: make(chan struct{})}
+	svc := New(Config{RepoDir: dir, SpillThresholdBytes: bb})
 
 	leader, joiner, _ := lagJoiner(t, svc, ad, "a.slow")
-	for i := 1; i <= 4; i++ {
-		ad.stepGate <- struct{}{}
+	feed(t, ad)
+	// The joiner holds batch 1 on, so the window passes its one-batch
+	// threshold at batch 2.
+	for i := 1; i <= 2; i++ {
 		if b, err := leader.Next(); err != nil || b == nil {
 			t.Fatalf("leader batch %d: (%v, %v)", i, b, err)
 		}
 	}
-	// Wait until all five emits have fully landed: closing the cursors
-	// while an emit is still in flight would fail that emit's refcount
-	// check and stop the stream before the next token is consumed.
-	for deadline := time.Now().Add(5 * time.Second); ad.streamed.Load() < 5; {
-		if time.Now().After(deadline) {
-			t.Fatal("adapter never finished the first five batches")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	waitStat(t, svc, "flight never spilled", func(st Stats) bool { return st.SpilledFlights == 1 })
+	waitParked(t, svc, ad, bb)
 	leader.Close()
 	joiner.Close()
-	ad.stepGate <- struct{}{} // the next emit sees zero refs and stops
-	waitStat(t, svc, "abandoned spilling flight never released", func(st Stats) bool {
+	waitStat(t, svc, "abandoned parked flight never released", func(st Stats) bool {
 		return st.FlightsCancelled == 1 && st.InFlightBytes == 0 && st.ReplayBytes == 0
 	})
-	// The file is removed by the flight goroutine's own teardown, which
-	// runs after the cancellation stats flip; poll rather than snapshot.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		ents, err := os.ReadDir(spillDir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ents) == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("abandoned flight leaked spill files: %v", ents)
-		}
-		time.Sleep(time.Millisecond)
+	if got := ad.streamed.Load(); got >= nBatches {
+		t.Errorf("abandoned extraction ran to completion (%d batches)", got)
 	}
+	assertIdle(t, svc)
+	noTempFiles()
 }

@@ -13,8 +13,8 @@ import (
 )
 
 // assertIdle checks what every window test must leave behind: both
-// gauges at zero (the gate balanced) and no spill file.
-func assertIdle(t *testing.T, svc *Service, spillDir string) {
+// gauges at zero and the gate balanced.
+func assertIdle(t *testing.T, svc *Service) {
 	t.Helper()
 	waitStat(t, svc, "flight never released", func(st Stats) bool {
 		return st.InFlightBytes == 0 && st.ReplayBytes == 0
@@ -22,11 +22,17 @@ func assertIdle(t *testing.T, svc *Service, spillDir string) {
 	if got := svc.Gate().Stats().UsedBytes; got != 0 {
 		t.Errorf("gate holds %d bytes at idle", got)
 	}
-	// The flight goroutine removes its file after the gauges settle.
-	waitStat(t, svc, "spill file outlived its flight", func(Stats) bool {
-		ents, err := os.ReadDir(spillDir)
-		return err == nil && len(ents) == 0
-	})
+}
+
+// coldVals is a cold mount's stream of a file: a fresh service and an
+// ungated adapter of the same shape.
+func coldVals(t *testing.T, dir, uri string, nBatches, batchLen int) []float64 {
+	t.Helper()
+	cur, err := New(Config{RepoDir: dir}).Mount(Request{URI: uri, Adapter: &slowAdapter{nBatches: nBatches, batchLen: batchLen}, Span: cache.FullSpan()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return collectVals(t, cur)
 }
 
 // collectVals drains a cursor into its value column.
@@ -42,6 +48,40 @@ func collectVals(t *testing.T, cur Cursor) []float64 {
 			return out
 		}
 		out = append(out, b.Cols[3].Float64s()...)
+	}
+}
+
+// collectAsync drains a cursor on its own goroutine and delivers its
+// value column. It stops at the first error, which the caller's row
+// count then shows.
+func collectAsync(cur Cursor) <-chan []float64 {
+	out := make(chan []float64, 1)
+	go func() {
+		var vals []float64
+		for {
+			b, err := cur.Next()
+			if err != nil || b == nil {
+				out <- vals
+				return
+			}
+			vals = append(vals, b.Cols[3].Float64s()...)
+		}
+	}()
+	return out
+}
+
+// watchTempDir points os.TempDir at an empty directory for the rest of
+// the test and returns a check that fails if anything was created in
+// it: a flight writes no temporary file.
+func watchTempDir(t *testing.T) func() {
+	t.Helper()
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	return func() {
+		t.Helper()
+		if ents, err := os.ReadDir(tmp); err != nil || len(ents) != 0 {
+			t.Errorf("temp dir holds %v (%v), want nothing", ents, err)
+		}
 	}
 }
 
@@ -75,23 +115,21 @@ func waitParked(t *testing.T, svc *Service, ad *slowAdapter, limit int64) {
 	}
 }
 
-// TestWindowReadingLeaderNeverSpills: a flight whose only cursor is
-// reading never writes a spill file; past the threshold the extractor
-// waits for it, and the window never holds more than the threshold plus
-// the batch that crossed it.
+// TestWindowReadingLeaderNeverSpills: past the threshold the extractor
+// waits for a flight's only cursor, nothing is spilled, and the window
+// never holds more than the threshold plus the batch that crossed it.
 func TestWindowReadingLeaderNeverSpills(t *testing.T) {
 	const nBatches, batchLen = 12, 32
-	bb := spillBatchBytes(t, batchLen)
-	spillDir := t.TempDir()
+	bb := batchBytes(t, batchLen)
 	dir := testFiles(t, map[string]int{"a.slow": 4096})
 	ad := &slowAdapter{nBatches: nBatches, batchLen: batchLen, stepGate: make(chan struct{})}
-	svc := New(Config{RepoDir: dir, SpillDir: spillDir, SpillThresholdBytes: 2 * bb})
+	svc := New(Config{RepoDir: dir, SpillThresholdBytes: 2 * bb})
 
 	cur, err := svc.Mount(Request{URI: "a.slow", Adapter: ad, Span: cache.FullSpan()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One read makes the cursor reading; then it idles.
+	// One read, then the cursor idles.
 	ad.stepGate <- struct{}{}
 	if b, err := cur.Next(); err != nil || b == nil {
 		t.Fatalf("first batch: (%v, %v)", b, err)
@@ -102,20 +140,21 @@ func TestWindowReadingLeaderNeverSpills(t *testing.T) {
 		t.Errorf("leader saw %d more rows, want %d", got, (nBatches-1)*batchLen)
 	}
 	st := svc.Stats()
-	if st.SpilledFlights != 0 || st.SpilledBytes != 0 || st.SpillReplayReads != 0 {
+	if st.SpilledBytes != 0 || st.SpillReplayReads != 0 {
 		t.Errorf("a reading leader spilled: %+v", st)
 	}
-	if max := 3 * bb; st.PeakReplayBytes > max {
-		t.Errorf("PeakReplayBytes = %d, want <= threshold+batch = %d", st.PeakReplayBytes, max)
+	if st.PeakReplayBytes > 3*bb {
+		t.Errorf("PeakReplayBytes = %d, want <= threshold+batch = %d", st.PeakReplayBytes, 3*bb)
 	}
-	assertIdle(t, svc, spillDir)
+	assertIdle(t, svc)
 }
 
 // lagJoiner mounts uri as a leader, reads its first batch (one stepGate token)
 // and mounts the same file again. Batch 0 has left the window, so the
-// second request is a joiner at batch 1: it lags until it has re-mounted
-// batch 0, and pins the window from batch 1 meanwhile. It returns both
-// cursors and the leader's first batch's values.
+// second request is a joiner at batch 1: until it has re-mounted batch 0
+// it reads nothing of the flight, and holds the window at batch 1
+// meanwhile. It returns both cursors and the leader's first batch's
+// values.
 func lagJoiner(t *testing.T, svc *Service, ad *slowAdapter, uri string) (leader, joiner Cursor, first []float64) {
 	t.Helper()
 	leader, err := svc.Mount(Request{URI: uri, Adapter: ad, Span: cache.FullSpan()})
@@ -136,83 +175,34 @@ func lagJoiner(t *testing.T, svc *Service, ad *slowAdapter, uri string) (leader,
 	return leader, joiner, b.Cols[3].Float64s()
 }
 
-// TestWindowLaggingJoinerSpillsOnlyWhatItPins: a joiner that has not
-// re-mounted its prefix pins the window from its attach position. Only
-// the batches the reading leader has passed go to disk — never one the
-// leader has yet to read — and the joiner replays the identical stream.
-func TestWindowLaggingJoinerSpillsOnlyWhatItPins(t *testing.T) {
+// TestWindowWaitsForJoinerPrefix: a joiner that has not started on its
+// prefix is waited for like any cursor. While the leader reads all it
+// can, the extractor stops once the window passes the threshold; when
+// the joiner drains, both streams are a cold mount's and the window
+// never held more than the threshold plus one batch.
+func TestWindowWaitsForJoinerPrefix(t *testing.T) {
 	const nBatches, batchLen = 12, 32
-	bb := spillBatchBytes(t, batchLen)
-	spillDir := t.TempDir()
+	bb := batchBytes(t, batchLen)
 	dir := testFiles(t, map[string]int{"a.slow": 4096})
 	ad := &slowAdapter{nBatches: nBatches, batchLen: batchLen, stepGate: make(chan struct{})}
-	svc := New(Config{RepoDir: dir, SpillDir: spillDir, SpillThresholdBytes: 2 * bb})
+	svc := New(Config{RepoDir: dir, SpillThresholdBytes: 2 * bb})
 
 	leader, joiner, leaderVals := lagJoiner(t, svc, ad, "a.slow")
-	// Lockstep: one batch extracted, one batch read. A batch a reader
-	// receives has been appended, and any spill an earlier append made
-	// is done.
-	var read int64
-	for i := 1; i < nBatches; i++ {
-		ad.stepGate <- struct{}{}
-		b, err := leader.Next()
-		if err != nil || b == nil {
-			t.Fatalf("leader batch %d: (%v, %v)", i, b, err)
-		}
-		if st := svc.Stats(); st.SpilledBytes > read {
-			t.Fatalf("batch %d: spilled %d bytes, more than the %d the leader had read past the joiner", i, st.SpilledBytes, read)
-		}
-		read += b.Bytes()
-		leaderVals = append(leaderVals, b.Cols[3].Float64s()...)
-	}
-	if b, err := leader.Next(); b != nil || err != nil {
-		t.Fatalf("leader end of stream: (%v, %v)", b, err)
-	}
-	st := svc.Stats()
-	if st.SpilledFlights != 1 || st.SpilledBytes == 0 || st.SpillReplayReads != 0 {
-		t.Fatalf("after the leader: %+v, want one spilled flight and no replay yet", st)
-	}
-	if max := 3 * bb; st.PeakReplayBytes > max {
-		t.Errorf("PeakReplayBytes = %d, want <= threshold+batch = %d", st.PeakReplayBytes, max)
-	}
-	feed(t, ad) // the joiner's prefix extraction
-	if got := collectVals(t, joiner); !reflect.DeepEqual(got, leaderVals) {
-		t.Errorf("joiner's replay differs from the leader's stream (%d vs %d rows)", len(got), len(leaderVals))
-	}
-	if st := svc.Stats(); st.SpillReplayReads == 0 {
-		t.Errorf("joiner never read the spill file: %+v", st)
-	}
-	assertIdle(t, svc, spillDir)
-}
-
-// TestWindowSpillFailureKeepsPinnedBatches: with the spill directory
-// gone, the batches a lagging joiner pins stay resident, the failure is
-// counted once, and both cursors see the whole stream.
-func TestWindowSpillFailureKeepsPinnedBatches(t *testing.T) {
-	const nBatches, batchLen = 12, 32
-	bb := spillBatchBytes(t, batchLen)
-	spillDir := t.TempDir()
-	dir := testFiles(t, map[string]int{"a.slow": 4096})
-	ad := &slowAdapter{nBatches: nBatches, batchLen: batchLen, stepGate: make(chan struct{})}
-	svc := New(Config{RepoDir: dir, SpillDir: spillDir, SpillThresholdBytes: 2 * bb})
-	if err := os.RemoveAll(spillDir); err != nil {
-		t.Fatal(err)
-	}
-	leader, joiner, want := lagJoiner(t, svc, ad, "a.slow")
+	rest := collectAsync(leader)
 	feed(t, ad)
-	want = append(want, collectVals(t, leader)...)
-	if got := collectVals(t, joiner); len(want) != nBatches*batchLen || !reflect.DeepEqual(got, want) {
-		t.Errorf("rows: leader %d, joiner %d, want %d each and identical", len(want), len(got), nBatches*batchLen)
+	waitParked(t, svc, ad, 2*bb)
+	joinerVals := collectVals(t, joiner)
+	leaderVals = append(leaderVals, <-rest...)
+
+	want := coldVals(t, dir, "a.slow", nBatches, batchLen)
+	if len(want) != nBatches*batchLen || !reflect.DeepEqual(joinerVals, want) || !reflect.DeepEqual(leaderVals, want) {
+		t.Errorf("rows: joiner %d, leader %d, cold %d; want identical streams of %d",
+			len(joinerVals), len(leaderVals), len(want), nBatches*batchLen)
 	}
-	st := svc.Stats()
-	if st.SpillFailures != 1 || st.SpilledFlights != 0 || st.SpillReplayReads != 0 {
-		t.Errorf("SpillFailures = %d, SpilledFlights = %d, SpillReplayReads = %d; want 1, 0, 0",
-			st.SpillFailures, st.SpilledFlights, st.SpillReplayReads)
+	if st := svc.Stats(); st.PeakReplayBytes > 3*bb {
+		t.Errorf("PeakReplayBytes = %d, want <= threshold+batch = %d", st.PeakReplayBytes, 3*bb)
 	}
-	if err := os.MkdirAll(spillDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	assertIdle(t, svc, spillDir)
+	assertIdle(t, svc)
 }
 
 // TestWindowParkedExtractorWakes: an extractor parked on a reading
@@ -221,13 +211,12 @@ func TestWindowSpillFailureKeepsPinnedBatches(t *testing.T) {
 // last — and the flight tears down cleanly.
 func TestWindowParkedExtractorWakes(t *testing.T) {
 	const nBatches, batchLen = 12, 32
-	bb := spillBatchBytes(t, batchLen)
+	bb := batchBytes(t, batchLen)
 	for _, how := range []string{"close", "ctx", "abandon"} {
 		t.Run(how, func(t *testing.T) {
-			spillDir := t.TempDir()
 			dir := testFiles(t, map[string]int{"a.slow": 4096})
 			ad := &slowAdapter{nBatches: nBatches, batchLen: batchLen, stepGate: make(chan struct{})}
-			svc := New(Config{RepoDir: dir, SpillDir: spillDir, SpillThresholdBytes: 2 * bb, BudgetBytes: 8192})
+			svc := New(Config{RepoDir: dir, SpillThresholdBytes: 2 * bb, BudgetBytes: 8192})
 
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
@@ -240,8 +229,6 @@ func TestWindowParkedExtractorWakes(t *testing.T) {
 				readers = append(readers, cur)
 				ctx = context.Background() // only the slow reader cancels
 			}
-			// Every cursor reads from attach, so none lags and nothing
-			// may spill.
 			ad.stepGate <- struct{}{}
 			for i, cur := range readers {
 				if b, err := cur.Next(); err != nil || b == nil {
@@ -284,10 +271,7 @@ func TestWindowParkedExtractorWakes(t *testing.T) {
 					t.Errorf("abandoned extraction ran to completion (%d batches)", got)
 				}
 			}
-			if st := svc.Stats(); st.SpilledFlights != 0 {
-				t.Errorf("only reading cursors, yet the flight spilled: %+v", st)
-			}
-			assertIdle(t, svc, spillDir)
+			assertIdle(t, svc)
 		})
 	}
 }
@@ -331,12 +315,7 @@ func TestWindowLateJoinerRemountsPrefix(t *testing.T) {
 	leaderVals = append(leaderVals, collectVals(t, leader)...)
 	joinerVals := collectVals(t, joiner)
 
-	cold := New(Config{RepoDir: dir})
-	coldCur, err := cold.Mount(Request{URI: "a.slow", Adapter: &slowAdapter{nBatches: nBatches, batchLen: batchLen}, Span: cache.FullSpan()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	coldVals := collectVals(t, coldCur)
+	coldVals := coldVals(t, dir, "a.slow", nBatches, batchLen)
 	if len(coldVals) != nBatches*batchLen || !reflect.DeepEqual(joinerVals, coldVals) || !reflect.DeepEqual(leaderVals, coldVals) {
 		t.Errorf("rows: joiner %d, leader %d, cold %d; want identical streams of %d",
 			len(joinerVals), len(leaderVals), len(coldVals), nBatches*batchLen)
@@ -356,7 +335,7 @@ func TestWindowLateJoinerRemountsPrefix(t *testing.T) {
 	if got := clock.Elapsed(); got != modeled {
 		t.Errorf("prefix added modeled I/O: %v → %v", modeled, got)
 	}
-	assertIdle(t, svc, t.TempDir())
+	assertIdle(t, svc)
 }
 
 // TestBudgetGivenBackAsBatchesAreRead pins what the budget bounds when
@@ -366,7 +345,7 @@ func TestWindowLateJoinerRemountsPrefix(t *testing.T) {
 // decoded bytes, while the first is still extracting.
 func TestBudgetGivenBackAsBatchesAreRead(t *testing.T) {
 	const nBatches, batchLen = 6, 32
-	bb := spillBatchBytes(t, batchLen)
+	bb := batchBytes(t, batchLen)
 	fileSize := bb + bb/2 // one read batch gives back part, two all
 	dir := testFiles(t, map[string]int{"a.slow": int(fileSize), "b.slow": int(fileSize)})
 	ad := &slowAdapter{nBatches: nBatches, batchLen: batchLen, stepGate: make(chan struct{})}
@@ -413,5 +392,5 @@ func TestBudgetGivenBackAsBatchesAreRead(t *testing.T) {
 	if got := drain(t, first); got != (nBatches-2)*batchLen {
 		t.Errorf("first flight rows after two batches = %d, want %d", got, (nBatches-2)*batchLen)
 	}
-	assertIdle(t, svc, t.TempDir())
+	assertIdle(t, svc)
 }

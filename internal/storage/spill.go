@@ -26,11 +26,10 @@ package storage
 // use the column-file encoding (little-endian; DOUBLE via Float64bits,
 // so NaN payloads and ±Inf survive bit-exactly).
 //
-// Every frame is written with one Write call, so a frame the writer has
-// reported durable is fully visible to concurrent readers of the same
-// file. I/O is charged to the engine's modeled disk: one sequential
-// ChargeWrite per frame written, one ChargeRead per frame read (the
-// first read of a file pays the seek).
+// Every frame is written with one Write call. I/O is charged to the
+// engine's modeled disk: one sequential ChargeWrite per frame written,
+// one ChargeRead per frame read (the first read of a file pays the
+// seek).
 
 import (
 	"encoding/binary"
