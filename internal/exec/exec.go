@@ -136,7 +136,7 @@ type MountStats struct {
 	// JoinOrderFlips is always 0: nothing sets it. It stays only because
 	// benchmark/engine.go still reads it; remove it together with that
 	// read.
-	JoinOrderFlips      int //lint:allow statcheck read by the benchmark module; removed with ROADMAP 7(d)
+	JoinOrderFlips      int //lint:allow statcheck read by the benchmark module; removed with the ROADMAP item "One `benchmark/` PR: measure the engine, not the run"
 	JoinBuildFlips      int
 	AdmissionBytesSaved int64
 }

@@ -78,24 +78,19 @@ func EnsureTables(store *storage.Store, cat *catalog.Catalog, ad catalog.FormatA
 	return nil
 }
 
-// LoadMetadata extracts only metadata from every repository file into the
-// adapter's file- and record-level tables, using one extraction worker
-// per available CPU. It charges the modeled cost of reading the headers
-// (one seek per file plus the header bytes).
-func LoadMetadata(store *storage.Store, ad catalog.FormatAdapter, repoDir string, uris []string) (MetadataResult, error) {
-	return LoadMetadataParallel(store, ad, repoDir, uris, 0)
-}
-
 // fileMeta is one file's extracted metadata, produced by a worker.
 type fileMeta struct {
 	fm  catalog.FileMeta
 	rms []catalog.RecordMeta
 }
 
-// LoadMetadataParallel is LoadMetadata with an explicit worker count
-// (<= 0 selects one worker per CPU). Extraction and the modeled header
-// reads fan out across workers; rows are appended in file order, so the
-// stored tables are byte-identical at every parallelism level.
+// LoadMetadataParallel extracts only metadata from every repository file
+// into the adapter's file- and record-level tables, using workers
+// extraction workers (<= 0 selects one per CPU). It charges the modeled
+// cost of reading the headers (one seek per file plus the header
+// bytes). Extraction and the modeled header reads fan out across
+// workers; rows are appended in file order, so the stored tables are
+// byte-identical at every parallelism level.
 func LoadMetadataParallel(store *storage.Store, ad catalog.FormatAdapter, repoDir string, uris []string, workers int) (MetadataResult, error) {
 	start := time.Now()
 	pool := store.Pool()
@@ -178,24 +173,18 @@ func LoadMetadataParallel(store *storage.Store, ad catalog.FormatAdapter, repoDi
 	return res, nil
 }
 
-// LoadEager performs the Ei ingestion: metadata plus all actual data,
-// followed (when buildIndexes is set) by primary- and foreign-key index
-// construction. Extraction runs on one worker per available CPU.
-func LoadEager(store *storage.Store, ad catalog.FormatAdapter, repoDir string, uris []string, buildIndexes bool) (EagerResult, error) {
-	return LoadEagerParallel(store, ad, repoDir, uris, buildIndexes, 0)
-}
-
 // mountedFile is one file's extracted actual data, produced by a worker.
 type mountedFile struct {
 	batch *vector.Batch
 	size  int64
 }
 
-// LoadEagerParallel is LoadEager with an explicit worker count (<= 0
-// selects one worker per CPU). Per-file extract/decompress runs in
-// workers; batches are appended to the data table in file order, so
-// stored columns and dictionaries are identical at every parallelism
-// level.
+// LoadEagerParallel performs the Ei ingestion: metadata plus all actual
+// data, followed (when buildIndexes is set) by primary- and foreign-key
+// index construction. Per-file extract/decompress runs on workers
+// goroutines (<= 0 selects one per CPU); batches are appended to
+// the data table in file order, so stored columns and dictionaries are
+// identical at every parallelism level.
 func LoadEagerParallel(store *storage.Store, ad catalog.FormatAdapter, repoDir string, uris []string, buildIndexes bool, workers int) (EagerResult, error) {
 	out := EagerResult{}
 	pool := store.Pool()

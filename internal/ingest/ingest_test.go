@@ -64,7 +64,7 @@ func TestEnsureTablesIdempotent(t *testing.T) {
 func TestLoadMetadataOnly(t *testing.T) {
 	m, spec := genRepo(t)
 	store, _, _ := newStore(t)
-	res, err := LoadMetadata(store, seismic.NewAdapter(), m.Dir, uris(m))
+	res, err := LoadMetadataParallel(store, seismic.NewAdapter(), m.Dir, uris(m), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestLoadMetadataOnly(t *testing.T) {
 func TestLoadEagerPopulatesEverything(t *testing.T) {
 	m, spec := genRepo(t)
 	store, _, _ := newStore(t)
-	res, err := LoadEager(store, seismic.NewAdapter(), m.Dir, uris(m), true)
+	res, err := LoadEagerParallel(store, seismic.NewAdapter(), m.Dir, uris(m), true, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestLoadEagerPopulatesEverything(t *testing.T) {
 func TestEagerIndexLookupFindsRows(t *testing.T) {
 	m, spec := genRepo(t)
 	store, _, _ := newStore(t)
-	res, err := LoadEager(store, seismic.NewAdapter(), m.Dir, uris(m), true)
+	res, err := LoadEagerParallel(store, seismic.NewAdapter(), m.Dir, uris(m), true, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestLoadChargesIO(t *testing.T) {
 	m, _ := genRepo(t)
 	store, _, clock := newStore(t)
 	clock.Reset()
-	if _, err := LoadMetadata(store, seismic.NewAdapter(), m.Dir, uris(m)); err != nil {
+	if _, err := LoadMetadataParallel(store, seismic.NewAdapter(), m.Dir, uris(m), 0); err != nil {
 		t.Fatal(err)
 	}
 	metaIO := clock.Elapsed()
@@ -172,7 +172,7 @@ func TestLoadChargesIO(t *testing.T) {
 
 	store2, _, clock2 := newStore(t)
 	clock2.Reset()
-	if _, err := LoadEager(store2, seismic.NewAdapter(), m.Dir, uris(m), false); err != nil {
+	if _, err := LoadEagerParallel(store2, seismic.NewAdapter(), m.Dir, uris(m), false, 0); err != nil {
 		t.Fatal(err)
 	}
 	eagerIO := clock2.Elapsed()
@@ -189,7 +189,7 @@ func TestLoadMetadataMissingTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	if _, err := LoadMetadata(store, seismic.NewAdapter(), m.Dir, uris(m)); err == nil {
+	if _, err := LoadMetadataParallel(store, seismic.NewAdapter(), m.Dir, uris(m), 0); err == nil {
 		t.Error("load without EnsureTables should fail")
 	}
 }

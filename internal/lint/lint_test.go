@@ -144,13 +144,6 @@ func TestReleaseCheckFixture(t *testing.T) {
 	runFixture(t, ReleaseCheck, "releasefix", "fixture/internal/releasefix")
 }
 
-// TestSpillFixture covers releasecheck's spill-file pairing: every
-// storage.CreateSpillFile must settle its handle with exactly one
-// Remove or Adopt on every path, unless the handle escapes.
-func TestSpillFixture(t *testing.T) {
-	runFixture(t, ReleaseCheck, "spillfix", "fixture/internal/spillfix")
-}
-
 // TestStatsFixtureClean* pin the analyzers' false-positive rate on the
 // statistics-free planner's idioms: statsfix mirrors the oracle's code
 // shapes (read-only view scans, private copies, threaded contexts) and

@@ -223,6 +223,8 @@ func blockingCall(obj types.Object) (string, bool) {
 	return "", false
 }
 
+const storagePkgSuffix = "internal/storage"
+
 // isDiskModelCharge matches modeled disk I/O: any ChargeRead/ChargeWrite
 // method declared in internal/storage (the DiskModel interface methods
 // and every concrete model implementing them).

@@ -18,12 +18,6 @@ import (
 //   - cache.Manager.BeginPut(uri) — the returned Pending holds a
 //     reservation against double-inserts; every path must Commit or
 //     Abort it, or later Puts for the URI are refused forever.
-//   - storage.CreateSpillFile(dir, pattern) — the returned SpillFile
-//     owns an on-disk temp file; every path must settle it with exactly
-//     one Remove (delete) or Adopt (keep), or the file outlives its
-//     owner and the spill directory fills with orphans. (The SpillFile
-//     itself panics on a double settle; this analysis covers the
-//     zero-settle paths the runtime cannot see.)
 //
 // The analysis is intraprocedural with explicit escape hatches, like
 // x/tools' lostcancel: an acquisition whose handle escapes the
@@ -43,7 +37,6 @@ var ReleaseCheck = &Analyzer{
 const (
 	admissionPkgSuffix = "internal/admission"
 	cachePkgSuffix     = "internal/cache"
-	storagePkgSuffix   = "internal/storage"
 )
 
 type acquireKind int
@@ -51,23 +44,18 @@ type acquireKind int
 const (
 	acqGate    acquireKind = iota // Gate.Acquire: release via Gate.Release
 	acqPending                    // Manager.BeginPut: release via Pending.Commit/Abort
-	acqSpill                      // storage.CreateSpillFile: settle via SpillFile.Remove/Adopt
 )
 
 func (k acquireKind) String() string {
-	switch k {
-	case acqGate:
+	if k == acqGate {
 		return "admission.Acquire"
-	case acqSpill:
-		return "storage.CreateSpillFile"
 	}
 	return "cache.BeginPut"
 }
 
 func runReleaseCheck(pass *Pass) {
 	if pkgPathHasSuffix(pass.Pkg.Types, admissionPkgSuffix) ||
-		pkgPathHasSuffix(pass.Pkg.Types, cachePkgSuffix) ||
-		pkgPathHasSuffix(pass.Pkg.Types, storagePkgSuffix) {
+		pkgPathHasSuffix(pass.Pkg.Types, cachePkgSuffix) {
 		return // the defining packages manage their own accounting
 	}
 	for _, file := range pass.Pkg.Files {
@@ -109,8 +97,8 @@ func checkReleaseFunc(pass *Pass, body *ast.BlockStmt) {
 type acquire struct {
 	kind   acquireKind
 	call   *ast.CallExpr
-	errObj types.Object // Acquire's/CreateSpillFile's error variable, when bound
-	handle types.Object // BeginPut's Pending / CreateSpillFile's SpillFile variable, when bound
+	errObj types.Object // Acquire's error variable, when bound
+	handle types.Object // BeginPut's Pending variable, when bound
 }
 
 // findAcquires locates tracked calls directly in body (not in nested
@@ -131,8 +119,6 @@ func findAcquires(pass *Pass, body *ast.BlockStmt) []*acquire {
 			out = append(out, &acquire{kind: acqGate, call: call})
 		case methodOn(obj, cachePkgSuffix, "Manager", "BeginPut"):
 			out = append(out, &acquire{kind: acqPending, call: call})
-		case funcIn(obj, storagePkgSuffix, "CreateSpillFile"):
-			out = append(out, &acquire{kind: acqSpill, call: call})
 		}
 		return true
 	})
@@ -163,13 +149,9 @@ func (s *releaseScan) check(body *ast.BlockStmt) {
 		return
 	}
 	s.bindVars(body)
-	if s.acq.kind == acqPending || s.acq.kind == acqSpill {
+	if s.acq.kind == acqPending {
 		if s.handleDiscarded(body) {
-			if s.acq.kind == acqPending {
-				s.pass.Reportf(s.acq.call.Pos(), "result of cache.BeginPut is discarded; it must be Commit()ed or Abort()ed")
-			} else {
-				s.pass.Reportf(s.acq.call.Pos(), "result of storage.CreateSpillFile is discarded; it must be Remove()d or Adopt()ed")
-			}
+			s.pass.Reportf(s.acq.call.Pos(), "result of cache.BeginPut is discarded; it must be Commit()ed or Abort()ed")
 			return
 		}
 		if s.acq.handle != nil && s.handleEscapes(body) {
@@ -193,44 +175,33 @@ func (s *releaseScan) check(body *ast.BlockStmt) {
 	}
 }
 
-// bindVars resolves `err := g.Acquire(...)` / `p := m.BeginPut(...)` /
-// `sf, err := storage.CreateSpillFile(...)` binding forms, including
-// the if-init form.
+// bindVars resolves the `err := g.Acquire(...)` / `p := m.BeginPut(...)`
+// binding forms, including the if-init form.
 func (s *releaseScan) bindVars(body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Rhs) != 1 || ast.Unparen(as.Rhs[0]) != s.acq.call {
+		if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 || ast.Unparen(as.Rhs[0]) != s.acq.call {
 			return true
 		}
-		bind := func(lhs ast.Expr) types.Object {
-			id, ok := ast.Unparen(lhs).(*ast.Ident)
-			if !ok || id.Name == "_" {
-				return nil
-			}
-			if obj := s.pass.Pkg.Info.Defs[id]; obj != nil {
-				return obj
-			}
-			return s.pass.Pkg.Info.Uses[id]
+		id, ok := ast.Unparen(as.Lhs[0]).(*ast.Ident)
+		if !ok || id.Name == "_" {
+			return false
 		}
-		switch {
-		case len(as.Lhs) == 1:
-			if s.acq.kind == acqGate {
-				s.acq.errObj = bind(as.Lhs[0])
-			} else {
-				s.acq.handle = bind(as.Lhs[0])
-			}
-		case len(as.Lhs) == 2 && s.acq.kind == acqSpill:
-			// Two-value form: the handle and the error.
-			s.acq.handle = bind(as.Lhs[0])
-			s.acq.errObj = bind(as.Lhs[1])
+		obj := s.pass.Pkg.Info.Defs[id]
+		if obj == nil {
+			obj = s.pass.Pkg.Info.Uses[id]
+		}
+		if s.acq.kind == acqGate {
+			s.acq.errObj = obj
+		} else {
+			s.acq.handle = obj
 		}
 		return false
 	})
 }
 
-// handleDiscarded reports a BeginPut or CreateSpillFile whose handle is
-// dropped on the floor (expression statement or blank assignment,
-// including the two-value `_, err :=` form).
+// handleDiscarded reports a BeginPut whose handle is dropped on the
+// floor (expression statement or blank assignment).
 func (s *releaseScan) handleDiscarded(body *ast.BlockStmt) bool {
 	discarded := false
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -477,7 +448,7 @@ func (s *releaseScan) scanStmt(stmt ast.Stmt, st relState) (relState, bool) {
 // scanIf understands the error-guard idiom on the acquisition's error:
 // the `err != nil` branch is the failure path, where nothing is held.
 func (s *releaseScan) scanIf(stmt *ast.IfStmt, st relState) (relState, bool) {
-	if s.acq.kind == acqGate || s.acq.kind == acqSpill {
+	if s.acq.kind == acqGate {
 		switch guardKind(s, stmt.Cond) {
 		case guardFailure: // if err != nil { ... }: skip the failure body
 			if stmt.Else != nil {
@@ -583,12 +554,8 @@ func guardKind(s *releaseScan, cond ast.Expr) guard {
 // callReleases reports whether the call itself is the pairing release.
 func callReleases(s *releaseScan, call *ast.CallExpr) bool {
 	obj := calleeOf(s.pass.Pkg.Info, call)
-	switch s.acq.kind {
-	case acqGate:
+	if s.acq.kind == acqGate {
 		return methodOn(obj, admissionPkgSuffix, "Gate", "Release")
-	case acqSpill:
-		return methodOn(obj, storagePkgSuffix, "SpillFile", "Remove") ||
-			methodOn(obj, storagePkgSuffix, "SpillFile", "Adopt")
 	}
 	return methodOn(obj, cachePkgSuffix, "Pending", "Commit") ||
 		methodOn(obj, cachePkgSuffix, "Pending", "Abort")
@@ -674,11 +641,8 @@ func (s *releaseScan) reportExit(at token.Pos, how string) {
 }
 
 func (s *releaseScan) releaseName() string {
-	switch s.acq.kind {
-	case acqGate:
+	if s.acq.kind == acqGate {
 		return "Release (or a defer holding it)"
-	case acqSpill:
-		return "Remove or Adopt (or a defer holding it)"
 	}
 	return "Commit or Abort (or a defer holding it)"
 }

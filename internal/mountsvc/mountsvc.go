@@ -178,9 +178,9 @@ type Stats struct {
 	ReplayBytes     int64
 	PeakReplayBytes int64
 	// SpilledBytes is always 0 (flights never spill); the benchmark reads it.
-	SpilledBytes int64 //lint:allow statcheck read by the benchmark module; removed with ROADMAP 7(d)
+	SpilledBytes int64 //lint:allow statcheck read by the benchmark module; removed with the ROADMAP item "One `benchmark/` PR: measure the engine, not the run"
 	// SpillReplayReads is always 0 (nothing replays from disk); the benchmark reads it.
-	SpillReplayReads int64 //lint:allow statcheck read by the benchmark module; removed with ROADMAP 7(d)
+	SpillReplayReads int64 //lint:allow statcheck read by the benchmark module; removed with the ROADMAP item "One `benchmark/` PR: measure the engine, not the run"
 	// AdmissionBytesSaved totals the budget bytes honest (estimate-
 	// sized) admissions left free versus whole-file admission.
 	AdmissionBytesSaved int64

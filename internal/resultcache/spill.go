@@ -1,9 +1,10 @@
 // Disk tier of the result cache: instead of evicting a cold entry under
 // byte pressure, the cache demotes it — the frozen materialization is
-// serialized to a spill file (internal/storage batch spill format) and
-// only the entry's metadata stays resident. A later hit promotes it back
-// through the ordinary result-scan share path. The tier has its own byte
-// budget and LRU (demotion recency), and persists across restarts: Close
+// written whole to SpillDir/result-<fingerprint hex>.spill
+// (internal/storage batch spill format) and only the entry's metadata
+// stays resident. A later hit promotes it back through the ordinary
+// result-scan share path. The tier has its own byte budget and LRU
+// (demotion recency), and persists across restarts: Close
 // demotes everything still resident and writes a manifest
 // (fingerprint, subsumption summary, invalidation epoch per entry), and
 // New over the same spill directory warms the cache from it, so repeat
@@ -28,39 +29,30 @@ import (
 	"repro/internal/vector"
 )
 
-// spillPattern names the cache's spill files; the cache reads and
-// removes no other file in its directory.
+// spillPattern matches the cache's spill files (spillName's
+// result-<fingerprint hex>.spill, and the random names older builds
+// wrote); the cache reads and removes no other file in its directory.
 const spillPattern = "result-*.spill"
 
 // spillEnabled reports whether the disk tier is configured.
 func (c *Cache) spillEnabled() bool { return c.cfg.SpillDir != "" }
 
+// spillName is the file a demoted entry is written to. A fingerprint has
+// at most one entry across both tiers, so the name is unique in SpillDir.
+func spillName(fp plan.Fingerprint) string { return "result-" + fp.String() + ".spill" }
+
 // demoteLocked moves an entry that has left the resident tier to the
-// disk tier. On any I/O failure it reports false and leaves the entry
-// as it was — the caller falls back to plain eviction, so a full or
-// broken disk degrades to the spill-off behavior instead of erroring.
+// disk tier, in its spillName file. On any I/O failure it reports false
+// and leaves the entry as it was — the caller falls back to plain
+// eviction, so a full or broken disk degrades to the spill-off behavior
+// instead of erroring.
 func (c *Cache) demoteLocked(e *entry) bool {
-	sf, err := storage.CreateSpillFile(c.cfg.SpillDir, spillPattern)
-	if err != nil {
-		return false
-	}
 	kinds := make([]vector.Kind, len(e.schema))
 	for i, ci := range e.schema {
 		kinds[i] = ci.Kind
 	}
-	w := storage.NewBatchWriter(sf.File(), kinds, c.cfg.Disk, c.cfg.Clock)
-	for _, b := range e.mat.Batches {
-		if err := w.Append(b); err != nil {
-			sf.Remove()
-			return false
-		}
-	}
-	if err := w.Finish(); err != nil {
-		sf.Remove()
-		return false
-	}
-	path, err := sf.Adopt()
-	if err != nil {
+	path := filepath.Join(c.cfg.SpillDir, spillName(e.fp))
+	if storage.WriteBatches(path, kinds, e.mat.Batches, c.cfg.Disk, c.cfg.Clock) != nil {
 		return false
 	}
 	e.mat = nil
@@ -248,6 +240,12 @@ func (c *Cache) loadManifest() {
 		}
 		name := filepath.Base(me.File)
 		if ok, _ := filepath.Match(spillPattern, name); !ok {
+			continue
+		}
+		// Another fingerprint's file would be overwritten when that
+		// fingerprint is demoted, and this entry would then serve its
+		// rows. (Older builds' random names are shorter.)
+		if own := spillName(f); len(name) == len(own) && name != own {
 			continue
 		}
 		path := filepath.Join(c.cfg.SpillDir, name)

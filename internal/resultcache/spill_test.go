@@ -1,8 +1,10 @@
 package resultcache
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -27,13 +29,31 @@ func countSpillFiles(t *testing.T, dir string) int {
 }
 
 // TestDemoteInsteadOfEvict: with a spill directory configured, byte
-// pressure demotes the LRU entry to disk instead of dropping it, and a
-// later probe for it promotes it back — serving the original rows with
-// zero re-executions.
+// pressure demotes the LRU entry to disk instead of dropping it, in a
+// file named after its fingerprint, and a later probe for it promotes it
+// back — serving the original rows with zero re-executions. The same
+// fingerprint can be demoted, promoted and demoted again, and the
+// directory never holds more than the one file per disk entry.
 func TestDemoteInsteadOfEvict(t *testing.T) {
 	dir := t.TempDir()
 	per := matBytes(mat(1, 2, 3))
 	c := New(Config{MaxBytes: per, SpillDir: dir})
+	onDisk := func(step, name string) {
+		t.Helper()
+		if n := countSpillFiles(t, dir); n != 1 {
+			t.Fatalf("%s: %d result files, want 1", step, n)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "result-"+fp(name).String()+".spill")); err != nil {
+			t.Fatalf("%s: %q is not in its fingerprint's file: %v", step, name, err)
+		}
+	}
+	served := func(step, name string, want ...int64) {
+		t.Helper()
+		got, ok := c.Get(fp(name))
+		if !ok || len(got.Batches) != 1 || !slices.Equal(got.Batches[0].Cols[0].Int64s(), want) {
+			t.Fatalf("%s: %q served %v %v, want rows %v", step, name, got, ok, want)
+		}
+	}
 	if !c.Put(fp("old"), "", mat(1, 2, 3), time.Second) {
 		t.Fatal("first store rejected")
 	}
@@ -47,28 +67,49 @@ func TestDemoteInsteadOfEvict(t *testing.T) {
 	if st.Entries != 1 || st.DiskEntries != 1 || st.BytesOnDisk != per {
 		t.Fatalf("occupancy = %+v", st)
 	}
-	if countSpillFiles(t, dir) != 1 {
-		t.Fatal("demotion left no spill file")
-	}
+	onDisk("first demotion", "old")
 
-	got, ok := c.Get(fp("old"))
-	if !ok || got.Rows() != 3 {
-		t.Fatalf("demoted entry not served: %v %v", got, ok)
-	}
-	if got.Batches[0].Cols[0].Int64s()[0] != 1 {
-		t.Fatal("promoted entry has wrong content")
-	}
+	// Promotion re-applies byte pressure: "new" is demoted in turn, and
+	// the promoted entry's file is gone.
+	served("promote old", "old", 1, 2, 3)
+	onDisk("promote old", "new")
+	// Promoting "new" demotes "old" a second time, into the same name.
+	served("promote new", "new", 4, 5, 6)
+	onDisk("demote old again", "old")
+	served("promote old again", "old", 1, 2, 3)
+	onDisk("promote old again", "new")
 	st = c.Stats()
-	if st.Promotions != 1 {
-		t.Fatalf("stats after promotion = %+v", st)
+	if st.Demotions != 4 || st.Promotions != 3 || st.Evictions != 0 {
+		t.Fatalf("stats after the round trips = %+v", st)
 	}
-	// Promotion re-applied byte pressure: "new" was demoted in turn, and
-	// the promoted file is gone.
 	if st.Entries != 1 || st.DiskEntries != 1 {
-		t.Fatalf("occupancy after promotion = %+v", st)
+		t.Fatalf("occupancy after the round trips = %+v", st)
 	}
-	if countSpillFiles(t, dir) != 1 {
-		t.Fatal("promoted entry's spill file was not removed")
+}
+
+// TestDemoteFailureEvicts: when the spill file cannot be written, byte
+// pressure evicts the victim as if the disk tier were off, and leaves no
+// file behind.
+func TestDemoteFailureEvicts(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "spill")
+	per := matBytes(mat(1, 2, 3))
+	c := New(Config{MaxBytes: per, SpillDir: dir})
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	c.Put(fp("old"), "", mat(1, 2, 3), time.Second)
+	if !c.Put(fp("new"), "", mat(4, 5, 6), time.Second) {
+		t.Fatal("store rejected")
+	}
+	st := c.Stats()
+	if st.Evictions != 1 || st.Demotions != 0 || st.DiskEntries != 0 || st.BytesOnDisk != 0 {
+		t.Fatalf("stats after a failed demotion = %+v, want one eviction and an empty disk tier", st)
+	}
+	if _, ok := c.Get(fp("old")); ok {
+		t.Fatal("evicted entry still served")
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("failed demotion created %s: %v", dir, err)
 	}
 }
 
@@ -218,6 +259,41 @@ func TestReopenIgnoresCorruptState(t *testing.T) {
 	// And the cache still works after the cold start.
 	if !c3.Put(fp("fresh"), "", mat(9), time.Second) {
 		t.Fatal("cache unusable after corrupt reopen")
+	}
+}
+
+// TestReopenRejectsAnotherFingerprintsFile: a manifest entry whose file
+// is named after a different fingerprint is not warmed, so demoting that
+// fingerprint later cannot change what the entry serves.
+func TestReopenRejectsAnotherFingerprintsFile(t *testing.T) {
+	dir := t.TempDir()
+	c := New(Config{SpillDir: dir})
+	c.Put(fp("x"), "", mat(1, 2, 3), time.Second)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	own, other := spillName(fp("x")), spillName(fp("y"))
+	data, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = bytes.ReplaceAll(data, []byte(own), []byte(other))
+	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(filepath.Join(dir, own), filepath.Join(dir, other)); err != nil {
+		t.Fatal(err)
+	}
+
+	c2 := New(Config{SpillDir: dir})
+	if st := c2.Stats(); st.WarmedFromDisk != 0 || st.DiskEntries != 0 {
+		t.Fatalf("entry in another fingerprint's file warmed: %+v", st)
+	}
+	if countSpillFiles(t, dir) != 0 {
+		t.Fatal("unreferenced spill file not swept")
+	}
+	if _, ok := c2.Get(fp("x")); ok {
+		t.Fatal("rejected entry served")
 	}
 }
 

@@ -1,11 +1,10 @@
 package storage
 
-// Spill files are the on-disk form of frozen batch streams: the
-// out-of-core layer serializes flight replay buffers and demoted
-// result-cache entries into them and replays them through streaming,
-// record-aligned reads. The format is a frame stream so a reader can
-// follow a writer that is still appending (the mount service's late
-// joiners replay from disk while the extraction runs):
+// Spill files are the on-disk form of frozen batch lists: the result
+// cache's disk tier writes a demoted entry whole with WriteBatches and
+// reads it back with OpenBatchReader's streaming, record-aligned reads.
+// A file is complete once WriteBatches returns; nothing reads a file
+// that is still being written. The format is a frame stream:
 //
 //	header:  magic "RSPILL2\n" | u32 ncols | ncols × u8 kind
 //	frame:   u8 tag
@@ -58,142 +57,70 @@ const (
 	spillColConst = 1
 )
 
-// SpillFile is an owned temporary file handle with an explicit end of
-// life: every CreateSpillFile must be paired with exactly one Remove
-// (delete the temp file) or Adopt (keep it, ownership moves to the
-// caller's bookkeeping) on every path — the releasecheck analyzer
-// enforces the pairing, so a leaked spill temp file is a lint failure.
-type SpillFile struct {
-	f       *os.File
-	path    string
-	settled bool
-}
-
-// CreateSpillFile creates a uniquely named spill file in dir (pattern
-// as in os.CreateTemp).
-func CreateSpillFile(dir, pattern string) (*SpillFile, error) {
-	f, err := os.CreateTemp(dir, pattern)
+// WriteBatches writes a complete spill file (header, one frame per
+// batch, end frame) at path, removing any partial file on error. Every
+// batch's column kinds must match kinds; empty batches are valid frames.
+func WriteBatches(path string, kinds []vector.Kind, batches []*vector.Batch, model DiskModel, clock *Clock) (err error) {
+	f, err := os.Create(path)
 	if err != nil {
-		return nil, fmt.Errorf("storage: create spill file: %w", err)
+		return fmt.Errorf("storage: create spill %s: %w", path, err)
 	}
-	return &SpillFile{f: f, path: f.Name()}, nil
-}
-
-// File returns the open write handle.
-func (s *SpillFile) File() *os.File { return s.f }
-
-// Path returns the file's path.
-func (s *SpillFile) Path() string { return s.path }
-
-// Remove closes the handle and deletes the file (best effort). Calling
-// Remove or Adopt twice panics: like a double budget release, it means
-// two owners believed they held the file.
-func (s *SpillFile) Remove() {
-	s.settle()
-	s.f.Close()
-	os.Remove(s.path)
-}
-
-// Adopt closes the write handle and keeps the file on disk, returning
-// its path: ownership transfers to the caller (e.g. a cache manifest).
-// On a close error the file is removed and the error returned; either
-// way the handle is settled.
-func (s *SpillFile) Adopt() (string, error) {
-	s.settle()
-	if err := s.f.Close(); err != nil {
-		os.Remove(s.path)
-		return "", fmt.Errorf("storage: adopt spill file: %w", err)
-	}
-	return s.path, nil
-}
-
-func (s *SpillFile) settle() {
-	if s.settled {
-		panic("storage: spill file already removed or adopted")
-	}
-	s.settled = true
-}
-
-// BatchWriter appends batch frames to a spill file. It is not safe for
-// concurrent use; the out-of-core call sites write from exactly one
-// goroutine per file.
-type BatchWriter struct {
-	w       io.Writer
-	kinds   []vector.Kind
-	dictIdx map[string]int64
-	dictLen int64
-	model   DiskModel
-	clock   *Clock
-	started bool
-	batches int
-	scratch []byte
-}
-
-// NewBatchWriter returns a writer of the given column schema over w.
-// The header is written lazily with the first frame.
-func NewBatchWriter(w io.Writer, kinds []vector.Kind, model DiskModel, clock *Clock) *BatchWriter {
-	ks := make([]vector.Kind, len(kinds))
-	copy(ks, kinds)
-	return &BatchWriter{w: w, kinds: ks, dictIdx: make(map[string]int64), model: model, clock: clock}
-}
-
-// Batches returns how many batch frames have been written.
-func (w *BatchWriter) Batches() int { return w.batches }
-
-func appendUint32(dst []byte, v uint32) []byte {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	return append(dst, buf[:]...)
-}
-
-func (w *BatchWriter) flush(frame []byte) error {
-	if _, err := w.w.Write(frame); err != nil {
-		return fmt.Errorf("storage: write spill frame: %w", err)
-	}
-	w.model.ChargeWrite(w.clock, int64(len(frame)))
-	return nil
-}
-
-// start writes the header before the first frame.
-func (w *BatchWriter) start() error {
-	if w.started {
+	defer func() {
+		if cerr := f.Close(); err == nil && cerr != nil {
+			err = fmt.Errorf("storage: close spill %s: %w", path, cerr)
+		}
+		if err != nil {
+			os.Remove(path)
+		}
+	}()
+	flush := func(frame []byte) error {
+		if _, err := f.Write(frame); err != nil {
+			return fmt.Errorf("storage: write spill frame: %w", err)
+		}
+		model.ChargeWrite(clock, int64(len(frame)))
 		return nil
 	}
-	w.started = true
-	hdr := appendUint32(append([]byte{}, spillMagic[:]...), uint32(len(w.kinds)))
-	for _, k := range w.kinds {
-		hdr = append(hdr, byte(k))
-	}
-	return w.flush(hdr)
-}
 
-// Append writes one batch as a frame. The batch's column kinds must
-// match the writer's schema. Empty batches are valid frames.
-func (w *BatchWriter) Append(b *vector.Batch) error {
-	if b == nil {
-		return errors.New("storage: BatchWriter.Append on nil batch")
+	frame := binary.LittleEndian.AppendUint32(append([]byte(nil), spillMagic[:]...), uint32(len(kinds)))
+	for _, k := range kinds {
+		frame = append(frame, byte(k))
 	}
-	if b.NumCols() != len(w.kinds) {
-		return fmt.Errorf("storage: spill batch has %d columns, schema has %d", b.NumCols(), len(w.kinds))
-	}
-	if err := w.start(); err != nil {
+	if err := flush(frame); err != nil {
 		return err
 	}
+	dict := make(map[string]int64)
+	for _, b := range batches {
+		if frame, err = appendBatchFrame(frame[:0], b, kinds, dict); err != nil {
+			return err
+		}
+		if err := flush(frame); err != nil {
+			return err
+		}
+	}
+	return flush(binary.LittleEndian.AppendUint32(append(frame[:0], spillFrameEnd), uint32(len(batches))))
+}
 
-	// Collect the strings this batch introduces, in code order.
+// appendBatchFrame appends b's batch frame to frame. dict maps every
+// string an earlier frame of the file introduced to its code; the
+// strings this batch introduces are added to it, in code order.
+func appendBatchFrame(frame []byte, b *vector.Batch, kinds []vector.Kind, dict map[string]int64) ([]byte, error) {
+	if b == nil {
+		return nil, errors.New("storage: spill of a nil batch")
+	}
+	if b.NumCols() != len(kinds) {
+		return nil, fmt.Errorf("storage: spill batch has %d columns, schema has %d", b.NumCols(), len(kinds))
+	}
 	var newDict []string
 	intern := func(s string) {
-		if _, ok := w.dictIdx[s]; !ok {
-			w.dictIdx[s] = w.dictLen
-			w.dictLen++
+		if _, ok := dict[s]; !ok {
+			dict[s] = int64(len(dict))
 			newDict = append(newDict, s)
 		}
 	}
-	rows := b.Len()
 	for i, col := range b.Cols {
 		k := col.Kind()
-		if k != w.kinds[i] {
-			return fmt.Errorf("storage: spill batch column %d is %s, schema says %s", i, k, w.kinds[i])
+		if k != kinds[i] {
+			return nil, fmt.Errorf("storage: spill batch column %d is %s, schema says %s", i, k, kinds[i])
 		}
 		if k != vector.KindString {
 			continue
@@ -206,20 +133,20 @@ func (w *BatchWriter) Append(b *vector.Batch) error {
 			intern(s)
 		}
 	}
-	// The frame is built once in the reused scratch buffer, its 5-byte
-	// header reserved up front and filled in when the length is known.
-	frame := append(w.scratch[:0], spillFrameBatch, 0, 0, 0, 0)
-	frame = appendUint32(frame, uint32(len(newDict)))
+	// The 5-byte frame header is reserved up front and filled in when
+	// the payload's length is known.
+	frame = append(frame, spillFrameBatch, 0, 0, 0, 0)
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(newDict)))
 	for _, s := range newDict {
-		frame = appendUint32(frame, uint32(len(s)))
+		frame = binary.LittleEndian.AppendUint32(frame, uint32(len(s)))
 		frame = append(frame, s...)
 	}
-	frame = appendUint32(frame, uint32(rows))
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(b.Len()))
 	for _, col := range b.Cols {
 		if val, ok := col.ConstValue(); ok {
 			frame = append(frame, spillColConst)
 			if val.Kind == vector.KindString {
-				frame = binary.LittleEndian.AppendUint64(frame, uint64(w.dictIdx[val.S]))
+				frame = binary.LittleEndian.AppendUint64(frame, uint64(dict[val.S]))
 			} else {
 				frame = encodeValue(frame, val)
 			}
@@ -228,64 +155,19 @@ func (w *BatchWriter) Append(b *vector.Batch) error {
 		frame = append(frame, spillColRows)
 		if col.Kind() == vector.KindString {
 			for _, s := range col.Strings() {
-				frame = binary.LittleEndian.AppendUint64(frame, uint64(w.dictIdx[s]))
+				frame = binary.LittleEndian.AppendUint64(frame, uint64(dict[s]))
 			}
 			continue
 		}
 		frame = encodeVector(frame, col)
 	}
 	binary.LittleEndian.PutUint32(frame[1:5], uint32(len(frame)-5))
-	w.scratch = frame[:0]
-	if err := w.flush(frame); err != nil {
-		return err
-	}
-	w.batches++
-	return nil
-}
-
-// Finish writes the end frame. A file without one is either still being
-// written or truncated; readers only treat end-framed files as complete.
-func (w *BatchWriter) Finish() error {
-	if err := w.start(); err != nil {
-		return err
-	}
-	frame := []byte{spillFrameEnd}
-	frame = appendUint32(frame, uint32(w.batches))
-	return w.flush(frame)
-}
-
-// WriteBatches writes a complete spill file (header, one frame per
-// batch, end frame) at path, removing any partial file on error.
-func WriteBatches(path string, kinds []vector.Kind, batches []*vector.Batch, model DiskModel, clock *Clock) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("storage: create spill %s: %w", path, err)
-	}
-	w := NewBatchWriter(f, kinds, model, clock)
-	for _, b := range batches {
-		if err := w.Append(b); err != nil {
-			f.Close()
-			os.Remove(path)
-			return err
-		}
-	}
-	if err := w.Finish(); err != nil {
-		f.Close()
-		os.Remove(path)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(path)
-		return fmt.Errorf("storage: close spill %s: %w", path, err)
-	}
-	return nil
+	return frame, nil
 }
 
 // BatchReader streams batches back out of a spill file in write order.
 // It maintains its own dictionary state from the frames' deltas, so any
-// number of readers can replay one file independently (including while
-// a writer is still appending, as long as the caller only asks for
-// frames the writer has already written).
+// number of readers can replay one file independently.
 type BatchReader struct {
 	f     *os.File
 	kinds []vector.Kind
@@ -342,9 +224,6 @@ func (r *BatchReader) Kinds() []vector.Kind {
 	return out
 }
 
-// Batches returns how many batch frames have been decoded so far.
-func (r *BatchReader) Batches() int { return r.read }
-
 // Close releases the file handle.
 func (r *BatchReader) Close() error { return r.f.Close() }
 
@@ -360,8 +239,7 @@ func (r *BatchReader) charge(n int) {
 // Next decodes the next batch frame. It returns (nil, nil) at the end
 // frame; hitting raw EOF or any undecodable bytes instead returns an
 // error wrapping ErrCorruptSpill — a file without its end frame is
-// truncated (or still being written, in which case the caller should
-// not have read this far).
+// truncated.
 func (r *BatchReader) Next() (*vector.Batch, error) {
 	if r.done {
 		return nil, nil

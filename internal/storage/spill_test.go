@@ -180,59 +180,6 @@ func TestSpillRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestSpillReadWhileWriting pins the streaming contract the mount
-// service relies on: frames already appended are fully readable while
-// the writer is still open (no end frame yet), by more than one
-// independent reader.
-func TestSpillReadWhileWriting(t *testing.T) {
-	dir := t.TempDir()
-	sf, err := CreateSpillFile(dir, "flight-*.spill")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sf.Remove()
-	kinds := []vector.Kind{vector.KindString, vector.KindFloat64}
-	w := NewBatchWriter(sf.File(), kinds, NoCost(), nil)
-
-	mk := func(seed int64) *vector.Batch {
-		rng := rand.New(rand.NewSource(seed))
-		return vector.NewBatch(randomVector(rng, kinds[0], 50), randomVector(rng, kinds[1], 50))
-	}
-	var want []*vector.Batch
-	readers := make([]*BatchReader, 2)
-	for i := 0; i < 6; i++ {
-		b := mk(int64(i))
-		if err := w.Append(b); err != nil {
-			t.Fatalf("append %d: %v", i, err)
-		}
-		want = append(want, b)
-		// Each reader lags the writer by a different amount.
-		for ri := range readers {
-			if readers[ri] == nil && i >= ri*2 {
-				r, err := OpenBatchReader(sf.Path(), NoCost(), nil)
-				if err != nil {
-					t.Fatalf("reader %d: %v", ri, err)
-				}
-				defer r.Close()
-				readers[ri] = r
-			}
-		}
-		got, err := readers[0].Next()
-		if err != nil {
-			t.Fatalf("read-behind-write %d: %v", i, err)
-		}
-		assertBatchesEqual(t, []*vector.Batch{b}, []*vector.Batch{got})
-	}
-	// The lagging reader catches up over the still-unfinished file.
-	for i := 0; i < 6; i++ {
-		got, err := readers[1].Next()
-		if err != nil {
-			t.Fatalf("lagging reader batch %d: %v", i, err)
-		}
-		assertBatchesEqual(t, []*vector.Batch{want[i]}, []*vector.Batch{got})
-	}
-}
-
 // TestSpillCorruptionDetected: every mangling of a valid file surfaces
 // as ErrCorruptSpill (open or read time), never a panic or a wrong
 // decode.
@@ -286,40 +233,4 @@ func TestSpillCorruptionDetected(t *testing.T) {
 	mangle("no-end.spill", func(b []byte) []byte { return b[:len(b)-5] })
 	mangle("tag.spill", func(b []byte) []byte { b[len(spillMagic)+4+len(kinds)] = 77; return b })
 	mangle("empty.spill", func(b []byte) []byte { return b[:0] })
-}
-
-// TestSpillFilePairing pins the SpillFile ownership contract the
-// releasecheck analyzer enforces statically: Remove deletes, Adopt
-// keeps, and a second settle of either flavor panics.
-func TestSpillFilePairing(t *testing.T) {
-	dir := t.TempDir()
-	sf, err := CreateSpillFile(dir, "t-*.spill")
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := sf.Path()
-	sf.Remove()
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Errorf("Remove left %s behind", path)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("double Remove did not panic")
-			}
-		}()
-		sf.Remove()
-	}()
-
-	sf2, err := CreateSpillFile(dir, "t-*.spill")
-	if err != nil {
-		t.Fatal(err)
-	}
-	kept, err := sf2.Adopt()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(kept); err != nil {
-		t.Errorf("Adopt did not keep %s: %v", kept, err)
-	}
 }
