@@ -72,10 +72,23 @@ func sum[A, T int64 | float64](acc A, xs []T) A {
 // them: only a strictly smaller (larger) value replaces the current one,
 // and float < and > are false against NaN just as Compare calls NaN
 // equal to everything — so a leading NaN stays and a later NaN never wins.
+// xs is not empty. One loop per direction keeps the per-value test to a
+// single comparison.
 func extreme[T int64 | float64 | string](cur T, set bool, xs []T, min bool) T {
+	if !set {
+		cur, xs = xs[0], xs[1:]
+	}
+	if min {
+		for _, x := range xs {
+			if x < cur {
+				cur = x
+			}
+		}
+		return cur
+	}
 	for _, x := range xs {
-		if !set || (min && x < cur) || (!min && x > cur) {
-			cur, set = x, true
+		if x > cur {
+			cur = x
 		}
 	}
 	return cur

@@ -6,9 +6,12 @@
 // pool, so a cold index pays modeled random I/O exactly the way the
 // paper describes MonetDB's foreign-key indexes being "brought into main
 // memory to compute the joins" — the effect behind Ei's cold-run times
-// in Figure 3. Each call reads entries through a cursor that keeps the
-// last page it fetched: steps and matches on that page make no pool
-// call, and an entry that straddles two pages is read from both.
+// in Figure 3. A page is read through the pool's ReadChunk, which decodes
+// it once per residency into a frozen slice of 64-bit words. Each call
+// reads entries through a cursor that keeps the words of the last page
+// it fetched: binary-search steps and matches on that page index the
+// slice and make no pool call, and an entry that straddles two pages is
+// read from both.
 //
 // String keys are indexed by their dictionary codes (equality semantics
 // only), numeric and timestamp keys by value (equality and range).
@@ -21,6 +24,7 @@ import (
 	"sort"
 
 	"repro/internal/storage"
+	"repro/internal/vector"
 )
 
 // EntrySize is the on-disk width of one index entry.
@@ -132,44 +136,57 @@ func (ix *Index) SizeOnDisk() int64 { return ix.n * EntrySize }
 // Path returns the index file path.
 func (ix *Index) Path() string { return ix.path }
 
-// cursor reads the entries of one index for one call. It keeps the last
-// page it fetched, so an entry on that page costs no pool call. The page
-// is the pool frame's own immutable bytes, which stay valid after the
-// frame is evicted.
+// cursor reads the entries of one index for one call. It keeps the
+// words of the last page it fetched, so an entry on that page costs no
+// pool call. They are the pool frame's frozen chunk, which stays valid
+// after the frame is evicted.
 type cursor struct {
-	ix   *Index
-	page int64 // the page data holds; -1 before the first fetch
-	data []byte
+	ix    *Index
+	page  int64   // the page words holds; -1 before the first fetch
+	words []int64 // the page's little-endian 64-bit words
 }
 
 func (ix *Index) cursor() cursor { return cursor{ix: ix, page: -1} }
 
-// word returns the 64-bit word at byte offset off. Words are 8-aligned
-// and PageSize is a multiple of 8, so a word never straddles two pages;
-// an entry may (PageSize is not a multiple of EntrySize), so entry reads
-// it word by word.
-func (c *cursor) word(off int64) (int64, error) {
-	page, in := off/storage.PageSize, off%storage.PageSize
-	if page != c.page {
-		data, err := c.ix.pool.ReadPage(c.ix.path, c.ix.f, page)
-		if err != nil {
-			return 0, err
-		}
-		c.page, c.data = page, data
+// pageWords and entryWords count the 64-bit words of a full page and of
+// an entry.
+const (
+	pageWords  = storage.PageSize / 8
+	entryWords = EntrySize / 8
+)
+
+// decodeWords decodes an index page into its 64-bit words.
+func decodeWords(raw []byte) (*vector.Vector, error) {
+	words := make([]int64, len(raw)/8)
+	for i := range words {
+		words[i] = int64(binary.LittleEndian.Uint64(raw[i*8:]))
 	}
-	if in+8 > int64(len(c.data)) {
-		return 0, fmt.Errorf("page %d holds %d bytes, need %d", page, len(c.data), in+8)
-	}
-	return int64(binary.LittleEndian.Uint64(c.data[in:])), nil
+	return vector.FromInt64(words), nil
 }
 
+// entry returns entry i. Words never straddle two pages (PageSize is a
+// multiple of 8), but an entry may (PageSize is not a multiple of
+// EntrySize): such an entry is read from both pages.
 func (c *cursor) entry(i int64) (Entry, error) {
-	var w [3]int64
-	for k := range w {
-		var err error
-		if w[k], err = c.word(i*EntrySize + int64(k)*8); err != nil {
-			return Entry{}, fmt.Errorf("index: read entry %d of %s: %w", i, c.ix.path, err)
+	first := i * entryWords // the entry's first word in the file
+	if in := first - c.page*pageWords; in >= 0 && in+entryWords <= int64(len(c.words)) {
+		return Entry{A: c.words[in], B: c.words[in+1], RowID: c.words[in+2]}, nil
+	}
+	var w [entryWords]int64
+	for k := 0; k < len(w); {
+		page, in := (first+int64(k))/pageWords, (first+int64(k))%pageWords
+		if page != c.page {
+			chunk, err := c.ix.pool.ReadChunk(c.ix.path, c.ix.f, page, decodeWords)
+			if err != nil {
+				return Entry{}, fmt.Errorf("index: read entry %d of %s: %w", i, c.ix.path, err)
+			}
+			c.page, c.words = page, chunk.Int64s() //lint:allow cowcheck the cursor only reads the frozen chunk's words
 		}
+		if in >= int64(len(c.words)) {
+			return Entry{}, fmt.Errorf("index: read entry %d of %s: page %d holds %d words, need %d",
+				i, c.ix.path, page, len(c.words), in+1)
+		}
+		k += copy(w[k:], c.words[in:])
 	}
 	return Entry{A: w[0], B: w[1], RowID: w[2]}, nil
 }

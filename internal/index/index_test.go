@@ -278,7 +278,7 @@ func TestLookupAgainstLinearScanProperty(t *testing.T) {
 
 // TestConcurrentLookupsOnSmallPool runs lookups from several goroutines
 // over an index three pages long and a pool of two, so frames are
-// evicted while other lookups' cursors still read their bytes.
+// evicted while other lookups' cursors still read their words.
 func TestConcurrentLookupsOnSmallPool(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	const keys = 3000

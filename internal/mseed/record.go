@@ -7,7 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
-	"sync"
+	"runtime"
 	"time"
 )
 
@@ -34,15 +34,16 @@ type Header struct {
 }
 
 // EndTime returns the time of the last sample.
-func (h Header) EndTime() int64 {
+func (h *Header) EndTime() int64 {
 	if h.NSamples <= 1 || h.SampleRate <= 0 {
 		return h.StartTime
 	}
-	return h.StartTime + int64(float64(h.NSamples-1)/h.SampleRate*float64(time.Second))
+	return h.SampleTime(h.NSamples - 1)
 }
 
-// SampleTime returns the time of sample i.
-func (h Header) SampleTime(i int) int64 {
+// SampleTime returns the time of sample i. The pointer receiver keeps a
+// per-sample loop from copying the whole header on every call.
+func (h *Header) SampleTime(i int) int64 {
 	return h.StartTime + int64(float64(i)/h.SampleRate*float64(time.Second))
 }
 
@@ -159,22 +160,32 @@ func (r *Reader) Reset(src io.Reader) {
 	r.err = nil
 }
 
-// readers recycles Readers, so opening a file does not allocate a fresh
-// 64 KiB buffer.
-var readers = sync.Pool{New: func() any { return NewReader(nil) }}
+// readers holds idle Readers, so opening a file does not allocate a
+// fresh 64 KiB buffer. Unlike a sync.Pool, which garbage collection
+// empties, it keeps them. It holds one per core, as many as an engine at
+// its default parallelism reads at once, and never more than were once
+// in use together; a Reader returned to a full list is dropped.
+var readers = make(chan *Reader, runtime.GOMAXPROCS(0))
 
-// GetReader returns a pooled Reader over src. Pass it to PutReader once
-// done, on every path.
+// GetReader returns a recycled Reader over src, or a new one when none
+// is idle. Pass it to PutReader once done, on every path.
 func GetReader(src io.Reader) *Reader {
-	r := readers.Get().(*Reader)
-	r.Reset(src)
-	return r
+	select {
+	case r := <-readers:
+		r.Reset(src)
+		return r
+	default:
+		return NewReader(src)
+	}
 }
 
-// PutReader returns r to the pool; r must not be used afterwards.
+// PutReader recycles r; r must not be used afterwards.
 func PutReader(r *Reader) {
 	r.Reset(nil)
-	readers.Put(r)
+	select {
+	case readers <- r:
+	default:
+	}
 }
 
 // NextHeader reads the next record header, or io.EOF at end of file.

@@ -87,7 +87,7 @@ func referenceColumns(t *testing.T, tbl *Table) *reference {
 	t.Helper()
 	ref := &reference{}
 	for c, col := range tbl.Columns() {
-		raw, err := os.ReadFile(tbl.colPath(c))
+		raw, err := os.ReadFile(tbl.paths[c])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,6 +171,69 @@ func TestChunkTable(t *testing.T) {
 	t.Run("IOMatchesByteReads", func(t *testing.T) { chunkIOMatchesByteReads(t, dir) })
 	t.Run("ConcurrentReads", func(t *testing.T) { concurrentChunkReads(t, dir) })
 	t.Run("FlushChargesMissesAgain", func(t *testing.T) { flushChargesMissesAgain(t, dir) })
+	t.Run("ChunksOutliveTheirBuffer", func(t *testing.T) { chunksOutliveTheirBuffer(t, dir) })
+}
+
+// chunksOutliveTheirBuffer decodes page 0 of each column, then reads
+// pages 1 and 2 through a one-page pool, until one of them was read into
+// the buffer page 0 was: page 0's chunk must still hold page 0, so the
+// column decoders keep no part of the bytes they are given. Each try
+// starts from an empty free list, so page 1 is read into page 0's buffer
+// unless another test's read takes it first; then it tries again.
+func chunksOutliveTheirBuffer(t *testing.T, dir string) {
+	tbl := openChunkTable(t, dir, NewBufferPool(1, NoCost(), nil))
+	ref := referenceColumns(t, tbl)
+	for c, kind := range ref.kinds {
+		pool := NewBufferPool(1, NoCost(), nil)
+		f, err := os.Open(tbl.paths[c])
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		var bufs []*byte // the buffer each decode was given
+		decode := func(raw []byte) (*vector.Vector, error) {
+			bufs = append(bufs, &raw[0])
+			return decodePage(kind, raw, tbl.Dict(c))
+		}
+		read := func(page int64) *vector.Vector {
+			v, err := pool.ReadChunk(tbl.paths[c], f, page, decode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v
+		}
+		reused := false
+		for try := 0; try < 40 && !reused; try++ {
+			bufs = bufs[:0]
+			drainPageBufs()
+			a := read(0) // a miss: the pool holds page 2, or nothing yet
+			read(1)
+			read(2)
+			if len(bufs) != 3 {
+				t.Fatalf("column %d: three misses decoded %d times", c, len(bufs))
+			}
+			reused = bufs[1] == bufs[0] || bufs[2] == bufs[0]
+			rows := make([]int64, a.Len())
+			for i := range rows {
+				rows[i] = int64(i)
+			}
+			ref.equal(t, "page 0 after reading pages 1 and 2", a, c, rows)
+		}
+		if !reused {
+			t.Fatalf("column %d: 40 tries never read page 1 or 2 into page 0's buffer", c)
+		}
+	}
+}
+
+// drainPageBufs empties the free list of page buffers.
+func drainPageBufs() {
+	for {
+		select {
+		case <-pageBufs:
+		default:
+			return
+		}
+	}
 }
 
 func chunkReadsMatchFileBytes(t *testing.T, dir string) {
@@ -215,8 +278,8 @@ func chunkReadsMatchFileBytes(t *testing.T, dir string) {
 	}
 }
 
-// chunkIOMatchesByteReads replays the same reads through the chunk path
-// and as plain ReadPage calls over the same byte ranges, each over a
+// chunkIOMatchesByteReads replays the same reads through the table and
+// as one ReadChunk call per page over the same byte ranges, each over a
 // fresh pool with its own clock, once with a pool smaller than the
 // table.
 func chunkIOMatchesByteReads(t *testing.T, dir string) {
@@ -227,7 +290,7 @@ func chunkIOMatchesByteReads(t *testing.T, dir string) {
 		tbl := openChunkTable(t, dir, chunkPool)
 		files := make([]*os.File, len(tbl.Columns()))
 		for c := range files {
-			f, err := os.Open(tbl.colPath(c))
+			f, err := os.Open(tbl.paths[c])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -237,7 +300,7 @@ func chunkIOMatchesByteReads(t *testing.T, dir string) {
 		readBytes := func(c int, from, to int64) {
 			w := int64(diskWidth(tbl.Columns()[c].Kind))
 			for page := from * w / PageSize; from < to && page*PageSize < to*w; page++ {
-				if _, err := bytePool.ReadPage(tbl.colPath(c), files[c], page); err != nil {
+				if _, err := bytePool.ReadChunk(tbl.paths[c], files[c], page, lenAndFirst); err != nil {
 					t.Fatal(err)
 				}
 			}

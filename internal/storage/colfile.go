@@ -100,15 +100,15 @@ func decodeVector(k vector.Kind, raw []byte, n int) *vector.Vector {
 	}
 }
 
-// decodePage decodes the whole values of one column-file page. A VARCHAR
-// page's codes resolve through dict under one read lock; a code the
-// dictionary lacks is an error.
+// decodePage decodes the whole values of one column-file page into a
+// fresh vector that keeps no part of raw. A VARCHAR page's codes resolve
+// through dict under one read lock; a code the dictionary lacks is an
+// error.
 func decodePage(k vector.Kind, raw []byte, dict *Dict) (*vector.Vector, error) {
-	n := len(raw) / diskWidth(k)
 	if k != vector.KindString {
-		return decodeVector(k, raw, n), nil
+		return decodeVector(k, raw, len(raw)/diskWidth(k)), nil
 	}
-	ss, err := dict.Resolve(decodeVector(vector.KindInt64, raw, n).Int64s())
+	ss, err := dict.Resolve(raw)
 	if err != nil {
 		return nil, err
 	}

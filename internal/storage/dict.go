@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -48,15 +49,17 @@ func (d *Dict) CodeIfPresent(s string) (int64, bool) {
 	return c, ok
 }
 
-// Resolve returns the strings of codes, taking the read lock once. A
-// code outside the dictionary is an error, not a panic: a crash between
+// Resolve returns the strings of the 8-byte little-endian codes in raw,
+// a VARCHAR column file's encoding, taking the read lock once. A code
+// outside the dictionary is an error, not a panic: a crash between
 // flushing a column file and saving its dictionary leaves such codes on
 // disk.
-func (d *Dict) Resolve(codes []int64) ([]string, error) {
+func (d *Dict) Resolve(raw []byte) ([]string, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	out := make([]string, len(codes))
-	for i, c := range codes {
+	out := make([]string, len(raw)/8)
+	for i := range out {
+		c := int64(binary.LittleEndian.Uint64(raw[i*8:]))
 		if c < 0 || c >= int64(len(d.vals)) {
 			return nil, fmt.Errorf("dictionary code %d out of range (%d entries)", c, len(d.vals))
 		}

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/lru"
 	"repro/internal/vector"
@@ -32,14 +32,12 @@ type PoolStats struct {
 // a pre-warmed one — exactly the cold/hot protocol of the paper's
 // Figure 3.
 //
-// A frame of a column file also keeps the page decoded (ReadChunk), so
-// each page is decoded at most once while it stays resident. Capacity
-// is still counted in pages, but a resident column page costs its bytes
-// plus a chunk of the same size for fixed-width kinds, or twice the size
-// for VARCHAR (16-byte string headers over the 8-byte codes). An index
-// page keeps its bytes only (ReadPage). Touch reads no bytes at all: a
-// page it charges holds its place in the pool, at cost 1, in a frame
-// with no bytes.
+// A frame holds its page decoded and frozen, never its bytes
+// (ReadChunk): a miss reads the page into a recycled buffer, decodes it
+// and gives the buffer back, so a resident page costs its chunk only.
+// Capacity is counted in pages, whatever their chunks weigh. Touch reads
+// no bytes at all: a page it charges holds its place in the pool, at
+// cost 1, in a frame with no chunk.
 type BufferPool struct {
 	mu       sync.Mutex
 	model    DiskModel
@@ -50,18 +48,42 @@ type BufferPool struct {
 }
 
 // poolEntry is one frame. A published frame is never mutated: readers
-// use data without holding the pool's lock, so a frame is filled or
-// refreshed by replacing it.
+// use its chunk without holding the pool's lock, so a frame is filled by
+// replacing it.
 type poolEntry struct {
-	data  []byte
-	chunk atomic.Pointer[vector.Vector] // data decoded and frozen; nil until ReadChunk
+	chunk *vector.Vector // the page decoded and frozen; nil in touchFrame
 }
 
 // touchFrame is the frame Touch leaves for a page it charged: the page
-// is resident in the model but holds no bytes. Every such page shares
-// it, and getPage never returns it: a data read that finds it counts a
-// hit, reads the page and replaces the frame.
+// is resident in the model but holds no chunk. Every such page shares
+// it, and ReadChunk never returns it: a read that finds it counts a hit,
+// reads and decodes the page and replaces the frame. A page whose decode
+// failed is left in it too, so the failed read is charged once, like any
+// other.
 var touchFrame = &poolEntry{}
+
+// pageBufs holds idle page-sized buffers for ReadChunk to read into.
+// Like mseed's Readers, it is a free list that garbage collection does
+// not empty. It holds one per core, since ReadChunk keeps a buffer only
+// while it reads and decodes a page; a buffer returned to a full list is
+// dropped.
+var pageBufs = make(chan *[PageSize]byte, runtime.GOMAXPROCS(0))
+
+func getPageBuf() *[PageSize]byte {
+	select {
+	case b := <-pageBufs:
+		return b
+	default:
+		return new([PageSize]byte)
+	}
+}
+
+func putPageBuf(b *[PageSize]byte) {
+	select {
+	case pageBufs <- b:
+	default:
+	}
+}
 
 // NewBufferPool returns a pool holding at most capPages pages. The clock
 // may be nil, in which case no I/O time is modeled.
@@ -99,47 +121,18 @@ func (p *BufferPool) Flush() {
 	p.lastPage = make(map[string]int64)
 }
 
-// ReadPage returns the bytes of page of path, going through the same
-// hit, miss, seek and LRU accounting as ReadChunk. f must be an open
-// handle on path. The slice is the resident frame's own and immutable:
-// callers read it and never write it, and may keep reading it after the
-// page leaves the pool. The last page of a file is short.
-func (p *BufferPool) ReadPage(path string, f *os.File, page int64) ([]byte, error) {
-	e, err := p.getPage(path, f, page)
-	if err != nil {
-		return nil, err
-	}
-	return e.data, nil
-}
-
-// ReadChunk returns page of path decoded by decode and frozen, going
-// through the same hit, miss, seek and LRU accounting as ReadPage. The
-// first read of a resident page decodes it; later reads get the same
-// frozen chunk until the page leaves the pool (Flush, Invalidate or
-// eviction drop the chunk with the page). Callers hand out Slice/Share
-// handles of it, never the chunk itself. decode runs outside the pool's
-// lock; when two readers decode the same page at once, the first chunk
-// stored wins.
-func (p *BufferPool) ReadChunk(path string, f *os.File, page int64, decode func([]byte) (*vector.Vector, error)) (*vector.Vector, error) {
-	e, err := p.getPage(path, f, page)
-	if err != nil {
-		return nil, err
-	}
-	if c := e.chunk.Load(); c != nil {
-		return c, nil
-	}
-	c, err := decode(e.data)
-	if err != nil {
-		return nil, err
-	}
-	c.Freeze()
-	if !e.chunk.CompareAndSwap(nil, c) {
-		c = e.chunk.Load()
-	}
-	return c, nil
-}
-
-func (p *BufferPool) getPage(path string, f *os.File, page int64) (*poolEntry, error) {
+// ReadChunk returns page of path decoded by decode and frozen. f must be
+// an open handle on path. The first read of a page decodes it; later
+// reads get the same frozen chunk until the page leaves the pool (Flush,
+// Invalidate or eviction drop the chunk with the page). Callers hand out
+// Slice/Share handles of it, never the chunk itself, and may keep them
+// after the page leaves the pool.
+//
+// decode gets the page's bytes (the last page of a file is short) in a
+// buffer that is reused as soon as decode returns: the chunk must not
+// keep any part of raw. decode runs outside the pool's lock; when two
+// readers miss the same page at once, the first frame admitted wins.
+func (p *BufferPool) ReadChunk(path string, f *os.File, page int64, decode func(raw []byte) (*vector.Vector, error)) (*vector.Vector, error) {
 	key := pageKey{path, page}
 	p.mu.Lock()
 	e, hit := p.pages.Get(key)
@@ -147,38 +140,45 @@ func (p *BufferPool) getPage(path string, f *os.File, page int64) (*poolEntry, e
 		p.stats.Hits++
 		if e != touchFrame {
 			p.mu.Unlock()
-			return e, nil
+			return e.chunk, nil
 		}
 	}
-	// A miss, or a hit on a frame Touch left: that page is resident in
-	// the model, so it is not charged again, but its bytes are read here.
+	// A miss, or a hit on a frame without a chunk: that page is resident
+	// in the model, so it is not charged again, but it is read here.
 	sequential := false
 	if !hit {
 		sequential = p.missLocked(path, page)
 	}
 	p.mu.Unlock()
 
-	data := make([]byte, PageSize)
-	n, err := f.ReadAt(data, page*PageSize)
+	buf := getPageBuf()
+	n, err := f.ReadAt(buf[:], page*PageSize)
 	if err != nil && err != io.EOF {
+		putPageBuf(buf)
 		return nil, fmt.Errorf("storage: read page %d of %s: %w", page, path, err)
 	}
 	if !hit {
 		p.model.ChargeRead(p.clock, 1, sequential)
 	}
-	e = &poolEntry{data: data[:n]}
+	chunk, err := decode(buf[:n])
+	putPageBuf(buf)
+	e = touchFrame // a page that fails to decode stays resident, read and charged
+	if err == nil {
+		chunk.Freeze()
+		e = &poolEntry{chunk: chunk}
+	}
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	cur, ok := p.pages.Get(key)
-	if ok && cur != touchFrame { // raced with another data reader
-		return cur, nil
+	if ok && cur != touchFrame { // raced with another reader
+		return cur.chunk, nil
 	}
 	if ok || !hit { // replace a Touch frame, or admit the missed page
 		p.admitLocked(key, e)
 	}
 	// Otherwise the Touch frame was evicted while we read: e is ours alone.
-	return e, nil
+	return e.chunk, err
 }
 
 // missLocked counts a miss of page and reports whether it continues a

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"sync"
@@ -46,6 +47,14 @@ func wantPage(t *testing.T, data []byte, k, pages int) {
 	}
 }
 
+// copyPage decodes a page to a one-string vector holding a copy of its
+// bytes; pageOf returns them.
+func copyPage(raw []byte) (*vector.Vector, error) {
+	return vector.FromString([]string{string(raw)}), nil
+}
+
+func pageOf(c *vector.Vector) []byte { return []byte(c.Strings()[0]) }
+
 // lenAndFirst decodes a page to its length and first byte (-1 when
 // empty).
 func lenAndFirst(raw []byte) (*vector.Vector, error) {
@@ -58,8 +67,8 @@ func lenAndFirst(raw []byte) (*vector.Vector, error) {
 
 // TestTouchFrameHoldsNoBytes pins the contract of the frame Touch
 // leaves: it is charged once, and a data read that finds it counts a
-// hit, charges nothing, reads the page and replaces the frame without
-// changing what is resident.
+// hit, charges nothing, reads and decodes the page and replaces the
+// frame without changing what is resident.
 func TestTouchFrameHoldsNoBytes(t *testing.T) {
 	const pages = 3
 	path, f, size := writePagedFile(t, pages)
@@ -73,18 +82,18 @@ func TestTouchFrameHoldsNoBytes(t *testing.T) {
 		t.Fatalf("cold Touch: %+v, charged %v; want %d misses, 1 seek, %v", st, clock.Elapsed(), pages, charged)
 	}
 
-	page1, err := pool.ReadPage(path, f, 1)
+	page1, err := pool.ReadChunk(path, f, 1, copyPage)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wantPage(t, page1, 1, pages); t.Failed() {
+	if wantPage(t, pageOf(page1), 1, pages); t.Failed() {
 		t.FailNow()
 	}
-	again, err := pool.ReadPage(path, f, 1)
+	again, err := pool.ReadChunk(path, f, 1, copyPage)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &again[0] != &page1[0] {
+	if again != page1 {
 		t.Error("the second read of a filled Touch frame read the page again")
 	}
 	chunk, err := pool.ReadChunk(path, f, 2, lenAndFirst)
@@ -104,8 +113,8 @@ func TestTouchFrameHoldsNoBytes(t *testing.T) {
 
 // TestTouchRacesDataReads runs Touch and data reads of one path at once
 // over a pool smaller than the file, so frames are charged, filled and
-// evicted concurrently: no data reader may ever see a frame without
-// bytes or the wrong page.
+// evicted concurrently: no data reader may ever see a frame without a
+// chunk or the wrong page.
 func TestTouchRacesDataReads(t *testing.T) {
 	const pages = 5
 	path, f, size := writePagedFile(t, pages)
@@ -116,29 +125,51 @@ func TestTouchRacesDataReads(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
-				switch k := (g + i) % pages; g % 4 {
-				case 0:
+				k := (g + i) % pages
+				if g == 0 {
 					pool.Touch(path, size)
-				case 1:
-					data, err := pool.ReadPage(path, f, int64(k))
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					wantPage(t, data, k, pages)
-				case 2, 3:
-					c, err := pool.ReadChunk(path, f, int64(k), lenAndFirst)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					if n, b := c.Int64s()[0], c.Int64s()[1]; b != int64(k+1) || (k < pages-1) != (n == PageSize) {
-						t.Errorf("ReadChunk of page %d decoded %d bytes of %d", k, n, b)
-						return
-					}
+					continue
+				}
+				c, err := pool.ReadChunk(path, f, int64(k), copyPage)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if wantPage(t, pageOf(c), k, pages); t.Failed() {
+					return
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestDecodeErrorChargesOnce: a page whose decode fails stays resident
+// without a chunk, charged once like any miss, so the next read counts a
+// hit, charges nothing and decodes it again.
+func TestDecodeErrorChargesOnce(t *testing.T) {
+	const pages = 3
+	path, f, _ := writePagedFile(t, pages)
+	var clock Clock
+	pool := NewBufferPool(pages, HDD7200(), &clock)
+	fail := errors.New("corrupt page")
+	if _, err := pool.ReadChunk(path, f, 0, func([]byte) (*vector.Vector, error) { return nil, fail }); !errors.Is(err, fail) {
+		t.Fatalf("ReadChunk with a failing decode: err = %v, want %v", err, fail)
+	}
+	model := HDD7200()
+	charged := model.SeekTime + model.TransferPerPage
+	if st := pool.Stats(); st != (PoolStats{Misses: 1, SeeksPayed: 1}) || clock.Elapsed() != charged {
+		t.Fatalf("after the failed decode: %+v, charged %v; want 1 miss, 1 seek, %v", st, clock.Elapsed(), charged)
+	}
+	c, err := pool.ReadChunk(path, f, 0, copyPage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPage(t, pageOf(c), 0, pages)
+	if again, err := pool.ReadChunk(path, f, 0, copyPage); err != nil || again != c {
+		t.Errorf("third read = %p, %v; want the chunk the second read decoded, %p", again, err, c)
+	}
+	if st := pool.Stats(); st != (PoolStats{Hits: 2, Misses: 1, SeeksPayed: 1}) || clock.Elapsed() != charged {
+		t.Errorf("after two more reads: %+v, charged %v; want 2 hits and nothing new charged", st, clock.Elapsed())
+	}
 }

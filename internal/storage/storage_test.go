@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -340,12 +341,21 @@ func TestDictRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := d2.Resolve([]int64{1}); d2.Len() != 2 || err != nil || got[0] != "b" {
+	if got, err := d2.Resolve(codeBytes(1)); d2.Len() != 2 || err != nil || got[0] != "b" {
 		t.Error("dict lost data across save/load")
 	}
-	if _, err := d2.Resolve([]int64{0, 2}); err == nil {
+	if _, err := d2.Resolve(codeBytes(0, 2)); err == nil {
 		t.Error("Resolve accepted a code past the dictionary")
 	}
+}
+
+// codeBytes encodes dictionary codes as a VARCHAR column file stores them.
+func codeBytes(codes ...int64) []byte {
+	var raw []byte
+	for _, c := range codes {
+		raw = binary.LittleEndian.AppendUint64(raw, uint64(c))
+	}
+	return raw
 }
 
 func TestDictRoundTripProperty(t *testing.T) {
@@ -355,7 +365,7 @@ func TestDictRoundTripProperty(t *testing.T) {
 		for i, s := range ss {
 			codes[i] = d.Code(s)
 		}
-		got, err := d.Resolve(codes)
+		got, err := d.Resolve(codeBytes(codes...))
 		if err != nil {
 			return false
 		}

@@ -61,15 +61,7 @@ func (s *Store) Dir() string { return s.dir }
 func (s *Store) Pool() *BufferPool { return s.pool }
 
 func (s *Store) attach(meta tableMeta) (*Table, error) {
-	t := &Table{
-		store: s,
-		name:  meta.Name,
-		dir:   filepath.Join(s.dir, meta.Name),
-		cols:  meta.Columns,
-		rows:  meta.Rows,
-		dicts: make([]*Dict, len(meta.Columns)),
-		files: make(map[string]*os.File),
-	}
+	t := s.newTable(meta.Name, meta.Columns, meta.Rows)
 	for i, c := range meta.Columns {
 		if c.Kind.Width() == 0 && !c.Kind.Fixed() {
 			d, err := LoadDict(t.dictPath(i))
@@ -101,17 +93,9 @@ func (s *Store) Create(name string, cols []Column) (*Table, error) {
 	if _, ok := s.tables[name]; ok {
 		return nil, fmt.Errorf("storage: table %s already exists", name)
 	}
-	dir := filepath.Join(s.dir, name)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	t := s.newTable(name, append([]Column(nil), cols...), 0)
+	if err := os.MkdirAll(t.dir, 0o755); err != nil {
 		return nil, err
-	}
-	t := &Table{
-		store: s,
-		name:  name,
-		dir:   dir,
-		cols:  append([]Column(nil), cols...),
-		dicts: make([]*Dict, len(cols)),
-		files: make(map[string]*os.File),
 	}
 	for i, c := range cols {
 		if c.Kind.Width() == 0 && !c.Kind.Fixed() {
@@ -119,7 +103,7 @@ func (s *Store) Create(name string, cols []Column) (*Table, error) {
 		}
 		// Ensure the column file exists so a freshly created table can be
 		// scanned before its first append.
-		f, err := os.OpenFile(t.colPath(i), os.O_CREATE, 0o644)
+		f, err := os.OpenFile(t.paths[i], os.O_CREATE, 0o644)
 		if err != nil {
 			return nil, err
 		}
@@ -171,8 +155,8 @@ func (s *Store) Drop(name string) error {
 		return fmt.Errorf("storage: drop of unknown table %s", name)
 	}
 	t.closeHandles()
-	for i := range t.cols {
-		s.pool.Invalidate(t.colPath(i))
+	for _, path := range t.paths {
+		s.pool.Invalidate(path)
 	}
 	delete(s.tables, name)
 	return os.RemoveAll(t.dir)

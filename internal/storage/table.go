@@ -31,13 +31,32 @@ type Table struct {
 	store *Store
 	name  string
 	dir   string
+	paths []string // column file paths, by column
 
 	mu    sync.RWMutex
 	cols  []Column
 	rows  int64
-	dicts []*Dict // per column; nil unless VARCHAR
+	dicts []*Dict    // per column; nil unless VARCHAR
+	files []*os.File // open read handles, by column; nil until a read opens one
+}
 
-	files map[string]*os.File // open read handles by path
+// newTable returns the table name of s with the given schema, each
+// column's file path computed once.
+func (s *Store) newTable(name string, cols []Column, rows int64) *Table {
+	t := &Table{
+		store: s,
+		name:  name,
+		dir:   filepath.Join(s.dir, name),
+		cols:  cols,
+		paths: make([]string, len(cols)),
+		rows:  rows,
+		dicts: make([]*Dict, len(cols)),
+		files: make([]*os.File, len(cols)),
+	}
+	for i, c := range cols {
+		t.paths[i] = filepath.Join(t.dir, c.Name+".col")
+	}
+	return t
 }
 
 // Name returns the table name.
@@ -78,10 +97,6 @@ func (t *Table) Dict(col int) *Dict {
 	return t.dicts[col]
 }
 
-func (t *Table) colPath(i int) string {
-	return filepath.Join(t.dir, t.cols[i].Name+".col")
-}
-
 func (t *Table) dictPath(i int) string {
 	return filepath.Join(t.dir, t.cols[i].Name+".dict.json")
 }
@@ -97,26 +112,27 @@ func (t *Table) saveMeta() error {
 	return os.WriteFile(t.metaPath(), data, 0o644)
 }
 
-func (t *Table) handle(path string) (*os.File, error) {
+// open returns the read handle of column col, opening it if no read has
+// yet: the write lock is taken only to open it.
+func (t *Table) open(col int) (*os.File, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if f, ok := t.files[path]; ok {
+	if f := t.files[col]; f != nil {
 		return f, nil
 	}
-	f, err := os.Open(path)
+	f, err := os.Open(t.paths[col])
 	if err != nil {
 		return nil, err
 	}
-	t.files[path] = f
+	t.files[col] = f
 	return f, nil
 }
 
-func (t *Table) dropHandle(path string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if f, ok := t.files[path]; ok {
+// closeFileLocked closes the read handle of column col, if open.
+func (t *Table) closeFileLocked(col int) {
+	if f := t.files[col]; f != nil {
 		f.Close()
-		delete(t.files, path)
+		t.files[col] = nil
 	}
 }
 
@@ -128,8 +144,7 @@ func (t *Table) dropHandle(path string) {
 func (t *Table) ReadColumn(col int, from, to int64) (*vector.Vector, error) {
 	t.mu.RLock()
 	kind := t.cols[col].Kind
-	rows := t.rows
-	dict := t.dicts[col]
+	rows, dict, f := t.rows, t.dicts[col], t.files[col]
 	t.mu.RUnlock()
 	if from < 0 || to > rows || from > to {
 		return nil, fmt.Errorf("storage: read rows [%d,%d) of %s.%s with %d rows",
@@ -138,11 +153,13 @@ func (t *Table) ReadColumn(col int, from, to int64) (*vector.Vector, error) {
 	if from == to {
 		return vector.New(kind, 0), nil
 	}
-	path := t.colPath(col)
-	f, err := t.handle(path)
-	if err != nil {
-		return nil, err
+	if f == nil {
+		var err error
+		if f, err = t.open(col); err != nil {
+			return nil, err
+		}
 	}
+	path := t.paths[col]
 	decode := func(raw []byte) (*vector.Vector, error) { return decodePage(kind, raw, dict) }
 	// A page holds a whole number of values: PageSize is a multiple of
 	// every width.
@@ -234,7 +251,7 @@ func (t *Table) SizeOnDisk() int64 {
 	defer t.mu.RUnlock()
 	var total int64
 	for i := range t.cols {
-		if st, err := os.Stat(t.colPath(i)); err == nil {
+		if st, err := os.Stat(t.paths[i]); err == nil {
 			total += st.Size()
 		}
 		if t.dicts[i] != nil {
@@ -250,12 +267,8 @@ func (t *Table) SizeOnDisk() int64 {
 func (t *Table) Truncate() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for i := range t.cols {
-		path := t.colPath(i)
-		if f, ok := t.files[path]; ok {
-			f.Close()
-			delete(t.files, path)
-		}
+	for i, path := range t.paths {
+		t.closeFileLocked(i)
 		if err := os.Truncate(path, 0); err != nil && !os.IsNotExist(err) {
 			return err
 		}
@@ -271,9 +284,8 @@ func (t *Table) Truncate() error {
 func (t *Table) closeHandles() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for p, f := range t.files {
-		f.Close()
-		delete(t.files, p)
+	for i := range t.files {
+		t.closeFileLocked(i)
 	}
 }
 
@@ -294,8 +306,7 @@ func (t *Table) NewAppender() (*Appender, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	a := &Appender{t: t}
-	for i := range t.cols {
-		path := t.colPath(i)
+	for _, path := range t.paths {
 		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			for _, prev := range a.files {
@@ -374,9 +385,11 @@ func (a *Appender) Close() error {
 	t.mu.Lock()
 	t.rows += a.rows
 	t.mu.Unlock()
-	for i := range t.cols {
-		t.store.pool.Invalidate(t.colPath(i))
-		t.dropHandle(t.colPath(i))
+	for i, path := range t.paths {
+		t.store.pool.Invalidate(path)
+		t.mu.Lock()
+		t.closeFileLocked(i)
+		t.mu.Unlock()
 		if t.dicts[i] != nil {
 			if err := t.dicts[i].Save(t.dictPath(i)); err != nil {
 				return err
