@@ -5,11 +5,19 @@
 //
 //   - File granularity: the whole mounted file is cached; any later query
 //     touching the file is served from memory.
-//   - Tuple granularity: only the tuples that satisfied the mounting
-//     query's selection are cached, together with the span they cover;
-//     a later query is served from cache only if its span is contained —
-//     otherwise the whole file must be mounted again (exactly the
-//     trade-off the paper describes).
+//   - Tuple granularity: only the tuples inside the mounting query's
+//     span (the closed interval its selection places on the data-span
+//     column) are cached, together with that span; a later query is
+//     served from cache only if its span is contained — otherwise the
+//     whole file must be mounted again (exactly the trade-off the paper
+//     describes).
+//
+// The cache has one writer and one protocol: a mount flight reserves the
+// URI (BeginPut), streams every batch it extracts through Append, and
+// publishes at Commit — or Abort, when the flight is abandoned or fails.
+// The cache alone decides which rows a fill keeps, and an entry is the
+// list of batches it kept, never a concatenated copy. Drop and Clear win
+// over a reservation: a URI invalidated mid-stream is not resurrected.
 //
 // Policies control retention: NeverCache reproduces the paper's
 // preliminary setup ("ingested data is discarded as soon as the query
@@ -100,7 +108,7 @@ type Manager struct {
 
 	mu      sync.Mutex
 	entries *lru.List[string, *entry] // by URI, each costing its bytes
-	pending map[string]*Pending       // in-progress streaming Puts, by URI
+	pending map[string]*Pending       // reserved fills, by URI
 	hits    int64
 	misses  int64
 	evicted int64
@@ -111,8 +119,8 @@ type Manager struct {
 }
 
 type entry struct {
-	batch *vector.Batch
-	span  Span
+	batches []*vector.Batch // frozen; cost is the sum of their Bytes
+	span    Span
 }
 
 // New returns a manager with the given configuration.
@@ -153,11 +161,13 @@ func (m *Manager) Contains(uri string, need Span) bool {
 	return ok && e.span.Contains(need)
 }
 
-// Get returns a copy-on-write share of the cached batch for uri if it
-// covers the needed span. The share is O(1): consumers read the entry's
-// storage directly and may mutate their share freely — the first write
-// materializes a private copy, so the entry can never be corrupted.
-func (m *Manager) Get(uri string, need Span) (*vector.Batch, bool) {
+// Get returns copy-on-write shares of the cached batches for uri, in
+// file order, if the entry covers the needed span (a tuple entry may
+// hold no batch at all: its span had no rows). The shares are O(1):
+// consumers read the entry's storage directly and may mutate their
+// shares freely — the first write materializes a private copy, so the
+// entry can never be corrupted.
+func (m *Manager) Get(uri string, need Span) ([]*vector.Batch, bool) {
 	if m == nil || m.cfg.Policy == NeverCache {
 		return nil, false
 	}
@@ -170,81 +180,64 @@ func (m *Manager) Get(uri string, need Span) (*vector.Batch, bool) {
 	}
 	m.entries.Get(uri)
 	m.hits++
-	return e.batch.Share(), true
-}
-
-// Put stores mounted data. With FileGranular configuration the span is
-// forced to Full (callers pass the whole mounted file); TupleGranular
-// callers pass the filtered batch and the span its tuples cover. A
-// NeverCache manager ignores Put, as does a Put racing a streaming
-// insertion that holds the URI's reservation (the stream owns the
-// entry; a second insert would double-count it).
-func (m *Manager) Put(uri string, b *vector.Batch, span Span) {
-	if m == nil || m.cfg.Policy == NeverCache || b == nil {
-		return
+	out := make([]*vector.Batch, len(e.batches))
+	for i, b := range e.batches {
+		out[i] = b.Share()
 	}
-	if m.cfg.Granularity == FileGranular {
-		span = FullSpan()
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.pending[uri] != nil {
-		return
-	}
-	m.putLocked(uri, b, span)
-}
-
-// putLocked inserts an entry; callers hold the lock. The entry holds its
-// own frozen share of b: the caller keeps mutating its handle without
-// affecting the entry, and no later handle mistake can corrupt it.
-func (m *Manager) putLocked(uri string, b *vector.Batch, span Span) {
-	stored := b.Share()
-	stored.Freeze()
-	m.entries.Put(uri, &entry{batch: stored, span: span}, stored.Bytes())
-	m.entries.Evict(func(string, *entry) { m.evicted++ })
+	return out, true
 }
 
 // Pending is an in-progress streaming insertion started by BeginPut: the
 // entry is assembled batch by batch while a file is being mounted, and
-// becomes visible atomically at Commit. Append keeps copy-on-write
-// shares, and Commit concatenates them once (vector.Concat, outside the
-// manager lock): a single-batch file is adopted in O(1), and the
-// finished entry can never observe execution-side mutations either way.
-// All methods are nil-safe (a nil Pending ignores every call), letting
-// callers thread the result of BeginPut through unconditionally.
+// becomes visible atomically at Commit. The entry is the list of batches
+// Append kept — frozen copy-on-write shares of the mounted batches, or,
+// under tuple granularity, the gathered rows of a batch the span cuts —
+// so Commit copies nothing, and the finished entry can never observe
+// mutations made through the mount's own handles. All methods are
+// nil-safe (a nil Pending ignores every call), letting callers thread
+// the result of BeginPut through unconditionally.
 type Pending struct {
 	m       *Manager
 	uri     string
+	span    Span
+	col     int // the span column's position; < 0 keeps every row
 	batches []*vector.Batch
+	bytes   int64
 	// aborted is set (under the manager lock) by Abort, or by Drop/Clear
 	// racing the stream: a URI invalidated mid-flight must not be
 	// resurrected by Commit.
 	aborted bool
 }
 
-// BeginPut reserves uri for a streaming insertion. It returns nil when
-// the manager never caches or another streaming insertion already holds
-// the reservation — the reservation is what keeps one file being
-// mounted from being double-inserted. The reservation is released by
-// Commit or Abort.
-func (m *Manager) BeginPut(uri string) *Pending {
+// BeginPut reserves uri for a streaming insertion of a mount over span,
+// whose batches hold the span column at position col (< 0 for a format
+// without one). The cache alone decides what the entry keeps: under file
+// granularity every row, under FullSpan; under tuple granularity the
+// rows whose span column lies in span. It returns nil when the manager
+// never caches or another streaming insertion already holds the
+// reservation — the reservation is what keeps one file being mounted
+// from being double-inserted. The reservation is released by Commit or
+// Abort.
+func (m *Manager) BeginPut(uri string, span Span, col int) *Pending {
 	if m == nil || m.cfg.Policy == NeverCache {
 		return nil
+	}
+	if m.cfg.Granularity == FileGranular || span.Full {
+		span, col = FullSpan(), -1
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.pending[uri] != nil {
 		return nil
 	}
-	p := &Pending{m: m, uri: uri}
+	p := &Pending{m: m, uri: uri, span: span, col: col}
 	m.pending[uri] = p
 	return p
 }
 
-// Append adds a batch's rows to the pending entry as an O(1) share.
-// Once the insertion is aborted (directly, or by Drop/Clear racing the
-// stream) appends become no-ops rather than accumulating rows Commit
-// will discard anyway.
+// Append adds the rows of b the entry keeps. Once the insertion is
+// aborted (directly, or by Drop/Clear racing the stream) appends become
+// no-ops rather than accumulating rows Commit will discard anyway.
 func (p *Pending) Append(b *vector.Batch) {
 	if p == nil || b == nil || b.Len() == 0 {
 		return
@@ -256,34 +249,55 @@ func (p *Pending) Append(b *vector.Batch) {
 		p.batches = nil
 		return
 	}
-	p.batches = append(p.batches, b.Share())
+	if b = p.keep(b); b != nil {
+		b.Freeze()
+		p.batches = append(p.batches, b)
+		p.bytes += b.Bytes()
+	}
 }
 
-// Commit publishes the assembled entry under the given span and releases
-// the reservation. A pending insertion that never saw a batch commits
-// nothing (the file had no rows to retain), and one whose URI was
-// dropped or cleared mid-stream commits nothing either — the
-// invalidation wins.
-func (p *Pending) Commit(span Span) {
+// keep returns the entry's own handle on the rows of b inside the span:
+// a share when that is every row, a gathered copy when it is some, and
+// nil when it is none.
+func (p *Pending) keep(b *vector.Batch) *vector.Batch {
+	if p.col < 0 {
+		return b.Share()
+	}
+	ts := b.Cols[p.col].Int64s()
+	sel := make([]int, 0, len(ts))
+	for i, t := range ts {
+		if p.span.Lo <= t && t <= p.span.Hi {
+			sel = append(sel, i)
+		}
+	}
+	switch len(sel) {
+	case 0:
+		return nil
+	case len(ts):
+		return b.Share()
+	}
+	return b.Gather(sel)
+}
+
+// Commit publishes the kept batches as the entry and releases the
+// reservation. A full-span insertion that kept no batch commits nothing
+// (the file had no rows), while a bounded one publishes its empty entry:
+// it proves the span has none. One whose URI was dropped or cleared
+// mid-stream commits nothing either — the invalidation wins.
+func (p *Pending) Commit() {
 	if p == nil {
 		return
 	}
 	m := p.m
-	if m.cfg.Granularity == FileGranular {
-		span = FullSpan()
-	}
-	var b *vector.Batch
-	if len(p.batches) > 0 {
-		b = vector.Concat(p.batches)
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if p.aborted {
 		return
 	}
 	delete(m.pending, p.uri)
-	if b != nil {
-		m.putLocked(p.uri, b, span)
+	if len(p.batches) > 0 || !p.span.Full {
+		m.entries.Put(p.uri, &entry{batches: p.batches, span: p.span}, p.bytes)
+		m.entries.Evict(func(string, *entry) { m.evicted++ })
 	}
 }
 

@@ -18,9 +18,26 @@ func batchOfRows(n int) *vector.Batch {
 	return vector.NewBatch(vector.FromInt64(xs), vector.FromString(ss))
 }
 
+// put fills one entry through the streaming protocol a mount flight
+// uses, the cache's only write path; column 0 is the span column.
+func put(m *Manager, uri string, b *vector.Batch, span Span) {
+	p := m.BeginPut(uri, span, 0)
+	p.Append(b)
+	p.Commit()
+}
+
+// rows counts the rows of an entry's batches.
+func rows(bs []*vector.Batch) int {
+	n := 0
+	for _, b := range bs {
+		n += b.Len()
+	}
+	return n
+}
+
 func TestNeverCacheDiscards(t *testing.T) {
 	m := New(Config{Policy: NeverCache})
-	m.Put("a", batchOfRows(10), FullSpan())
+	put(m, "a", batchOfRows(10), FullSpan())
 	if _, ok := m.Get("a", FullSpan()); ok {
 		t.Error("NeverCache retained data")
 	}
@@ -34,12 +51,12 @@ func TestNeverCacheDiscards(t *testing.T) {
 
 func TestFileGranularHit(t *testing.T) {
 	m := New(Config{Policy: LRU, Granularity: FileGranular})
-	m.Put("a", batchOfRows(5), Span{Lo: 10, Hi: 20}) // span forced to Full
+	put(m, "a", batchOfRows(5), Span{Lo: 10, Hi: 20}) // span forced to Full
 	if !m.Contains("a", Span{Lo: 0, Hi: 1000}) {
 		t.Error("file-granular entry should cover any span")
 	}
 	b, ok := m.Get("a", Span{Lo: -5, Hi: 5})
-	if !ok || b.Len() != 5 {
+	if !ok || rows(b) != 5 {
 		t.Error("Get failed")
 	}
 	st := m.Stats()
@@ -50,7 +67,7 @@ func TestFileGranularHit(t *testing.T) {
 
 func TestTupleGranularContainment(t *testing.T) {
 	m := New(Config{Policy: LRU, Granularity: TupleGranular})
-	m.Put("a", batchOfRows(5), Span{Lo: 100, Hi: 200})
+	put(m, "a", batchOfRows(5), Span{Lo: 100, Hi: 200})
 	if !m.Contains("a", Span{Lo: 120, Hi: 180}) {
 		t.Error("contained span rejected")
 	}
@@ -85,13 +102,13 @@ func TestSpanContains(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	one := batchOfRows(100).Bytes()
 	m := New(Config{Policy: LRU, Granularity: FileGranular, MaxBytes: one*2 + 10})
-	m.Put("a", batchOfRows(100), FullSpan())
-	m.Put("b", batchOfRows(100), FullSpan())
+	put(m, "a", batchOfRows(100), FullSpan())
+	put(m, "b", batchOfRows(100), FullSpan())
 	// Touch a so b is the LRU victim... (a most recent)
 	if _, ok := m.Get("a", FullSpan()); !ok {
 		t.Fatal("warm get failed")
 	}
-	m.Put("c", batchOfRows(100), FullSpan())
+	put(m, "c", batchOfRows(100), FullSpan())
 	if m.Contains("b", FullSpan()) {
 		t.Error("LRU should have evicted b")
 	}
@@ -105,21 +122,21 @@ func TestLRUEviction(t *testing.T) {
 
 func TestPutReplaces(t *testing.T) {
 	m := New(Config{Policy: LRU, Granularity: TupleGranular})
-	m.Put("a", batchOfRows(5), Span{Lo: 0, Hi: 10})
-	m.Put("a", batchOfRows(50), Span{Lo: 0, Hi: 100})
+	put(m, "a", batchOfRows(5), Span{Lo: 0, Hi: 10})
+	put(m, "a", batchOfRows(50), Span{Lo: 0, Hi: 100})
 	if m.Stats().Entries != 1 {
 		t.Errorf("entries = %d after replace", m.Stats().Entries)
 	}
 	b, ok := m.Get("a", Span{Lo: 0, Hi: 100})
-	if !ok || b.Len() != 50 {
+	if !ok || rows(b) != 50 {
 		t.Error("replacement not visible")
 	}
 }
 
 func TestDropAndClear(t *testing.T) {
 	m := New(Config{Policy: LRU, Granularity: FileGranular})
-	m.Put("a", batchOfRows(5), FullSpan())
-	m.Put("b", batchOfRows(5), FullSpan())
+	put(m, "a", batchOfRows(5), FullSpan())
+	put(m, "b", batchOfRows(5), FullSpan())
 	m.Drop("a")
 	if m.Contains("a", FullSpan()) {
 		t.Error("dropped entry still present")
@@ -132,7 +149,7 @@ func TestDropAndClear(t *testing.T) {
 
 func TestNilManagerSafe(t *testing.T) {
 	var m *Manager
-	m.Put("a", batchOfRows(1), FullSpan())
+	put(m, "a", batchOfRows(1), FullSpan())
 	if _, ok := m.Get("a", FullSpan()); ok {
 		t.Error("nil manager returned data")
 	}
@@ -148,7 +165,7 @@ func TestBudgetInvariantProperty(t *testing.T) {
 	f := func(sizes []uint8) bool {
 		m := New(Config{Policy: LRU, Granularity: FileGranular, MaxBytes: 2000})
 		for i, s := range sizes {
-			m.Put(fmt.Sprintf("f%d", i), batchOfRows(int(s)), FullSpan())
+			put(m, fmt.Sprintf("f%d", i), batchOfRows(int(s)), FullSpan())
 		}
 		st := m.Stats()
 		// Budget holds unless a single entry exceeds it (kept to stay useful).
@@ -170,7 +187,7 @@ func TestPolicyAndGranularityStrings(t *testing.T) {
 
 func TestStreamingPutAssemblesEntry(t *testing.T) {
 	m := New(Config{Policy: LRU, Granularity: FileGranular})
-	p := m.BeginPut("f1")
+	p := m.BeginPut("f1", FullSpan(), -1)
 	if p == nil {
 		t.Fatal("BeginPut refused a fresh URI")
 	}
@@ -180,22 +197,22 @@ func TestStreamingPutAssemblesEntry(t *testing.T) {
 	if _, ok := m.Get("f1", FullSpan()); ok {
 		t.Fatal("pending entry visible before Commit")
 	}
-	p.Commit(FullSpan())
+	p.Commit()
 	b, ok := m.Get("f1", FullSpan())
-	if !ok || b.Len() != 5 {
-		t.Fatalf("committed entry has %d rows, want 5", b.Len())
+	if !ok || rows(b) != 5 {
+		t.Fatalf("committed entry has %d rows, want 5", rows(b))
 	}
 }
 
 func TestStreamingPutIsolatedFromAppendedBatches(t *testing.T) {
 	m := New(Config{Policy: LRU, Granularity: FileGranular})
-	p := m.BeginPut("f1")
+	p := m.BeginPut("f1", FullSpan(), -1)
 	src := batchOfRows(4)
 	p.Append(src)
 	src.Cols[0].Set(0, vector.Int64(-77)) // the flight's batch is mutated later
-	p.Commit(FullSpan())
+	p.Commit()
 	b, _ := m.Get("f1", FullSpan())
-	if b.Cols[0].Int64s()[0] != 0 {
+	if b[0].Cols[0].Int64s()[0] != 0 {
 		t.Error("streaming Put aliased the appended batch")
 	}
 }
@@ -205,85 +222,139 @@ func TestStreamingPutIsolatedFromAppendedBatches(t *testing.T) {
 // sanctioned mutation API) never corrupts the entry.
 func TestGetSharesAreCopyOnWrite(t *testing.T) {
 	m := New(Config{Policy: LRU, Granularity: FileGranular})
-	m.Put("f1", batchOfRows(4), FullSpan())
+	put(m, "f1", batchOfRows(4), FullSpan())
 	got, ok := m.Get("f1", FullSpan())
 	if !ok {
 		t.Fatal("miss")
 	}
-	got.Cols[0].Set(0, vector.Int64(-1))
-	vals := got.Cols[0].MutableInt64s()
+	got[0].Cols[0].Set(0, vector.Int64(-1))
+	vals := got[0].Cols[0].MutableInt64s()
 	for i := range vals {
 		vals[i] = -9
 	}
 	again, _ := m.Get("f1", FullSpan())
-	if again.Cols[0].Int64s()[0] != 0 {
+	if again[0].Cols[0].Int64s()[0] != 0 {
 		t.Error("cached entry corrupted through a consumer's share")
 	}
 }
 
 func TestReservationBlocksDoubleInsert(t *testing.T) {
 	m := New(Config{Policy: LRU, Granularity: FileGranular})
-	p := m.BeginPut("f1")
+	p := m.BeginPut("f1", FullSpan(), -1)
 	if p == nil {
 		t.Fatal("BeginPut failed")
 	}
-	if m.BeginPut("f1") != nil {
+	if m.BeginPut("f1", FullSpan(), -1) != nil {
 		t.Error("second streaming insertion reserved an already reserved URI")
 	}
-	// A plain Put racing the streaming insertion is dropped.
-	m.Put("f1", batchOfRows(9), FullSpan())
+	// A second fill racing the reservation stores nothing.
+	put(m, "f1", batchOfRows(9), FullSpan())
 	if _, ok := m.Get("f1", FullSpan()); ok {
-		t.Error("Put bypassed the reservation")
+		t.Error("a second fill bypassed the reservation")
 	}
 	p.Append(batchOfRows(2))
-	p.Commit(FullSpan())
-	if b, ok := m.Get("f1", FullSpan()); !ok || b.Len() != 2 {
-		t.Error("streaming insertion lost to the racing Put")
+	p.Commit()
+	if b, ok := m.Get("f1", FullSpan()); !ok || rows(b) != 2 {
+		t.Error("streaming insertion lost to the racing fill")
 	}
-	// Reservation released: both paths work again.
-	if m.BeginPut("f1") == nil {
+	// Reservation released: a new fill can start.
+	if m.BeginPut("f1", FullSpan(), -1) == nil {
 		t.Error("reservation not released by Commit")
 	}
 }
 
 func TestAbortReleasesReservation(t *testing.T) {
 	m := New(Config{Policy: LRU, Granularity: FileGranular})
-	p := m.BeginPut("f1")
+	p := m.BeginPut("f1", FullSpan(), -1)
 	p.Append(batchOfRows(3))
 	p.Abort()
 	if _, ok := m.Get("f1", FullSpan()); ok {
 		t.Error("aborted insertion left an entry")
 	}
-	p2 := m.BeginPut("f1")
+	p2 := m.BeginPut("f1", FullSpan(), -1)
 	if p2 == nil {
 		t.Error("reservation not released by Abort")
 	}
 	p2.Abort()
-	m.Put("f1", batchOfRows(1), FullSpan())
+	put(m, "f1", batchOfRows(1), FullSpan())
 	if _, ok := m.Get("f1", FullSpan()); !ok {
-		t.Error("Put blocked after Abort")
+		t.Error("fill blocked after Abort")
 	}
 }
 
 func TestNilPendingIsSafe(t *testing.T) {
 	never := New(Config{Policy: NeverCache})
-	p := never.BeginPut("f1")
+	p := never.BeginPut("f1", FullSpan(), -1)
 	if p != nil {
 		t.Fatal("NeverCache manager handed out a pending insertion")
 	}
 	p.Append(batchOfRows(1)) // must not panic
-	p.Commit(FullSpan())
+	p.Commit()
 	p.Abort()
 	var nilMgr *Manager
-	if nilMgr.BeginPut("x") != nil {
+	if nilMgr.BeginPut("x", FullSpan(), -1) != nil {
 		t.Error("nil manager handed out a pending insertion")
+	}
+}
+
+// rowsFrom is one batch whose span column (column 0) holds lo, lo+1, …
+// for n rows.
+func rowsFrom(lo int64, n int) *vector.Batch {
+	b := batchOfRows(n)
+	ts := b.Cols[0].MutableInt64s()
+	for i := range ts {
+		ts[i] += lo
+	}
+	return b
+}
+
+// TestTupleFillKeepsRowsInSpan pins what a tuple-granular fill keeps:
+// the rows whose span column lies in the closed span. A batch wholly
+// inside is kept as a share, one the span cuts as a gathered copy of its
+// rows inside, and one wholly outside not at all.
+func TestTupleFillKeepsRowsInSpan(t *testing.T) {
+	m := New(Config{Policy: LRU, Granularity: TupleGranular})
+	p := m.BeginPut("a", Span{Lo: 3, Hi: 12}, 0)
+	in := []*vector.Batch{rowsFrom(0, 5), rowsFrom(5, 5), rowsFrom(10, 5), rowsFrom(20, 5)}
+	for _, b := range in {
+		p.Append(b)
+	}
+	p.Commit()
+	if !in[1].Shared() || in[0].Shared() || in[2].Shared() || in[3].Shared() {
+		t.Error("only the batch wholly inside the span should be kept as a share")
+	}
+	got, ok := m.Get("a", Span{Lo: 3, Hi: 12})
+	if !ok || len(got) != 3 {
+		t.Fatalf("entry has %d batches (ok=%v), want 3", len(got), ok)
+	}
+	var ts []int64
+	var bytes int64
+	for _, b := range got {
+		ts = append(ts, b.Cols[0].Int64s()...)
+		bytes += b.Bytes()
+	}
+	if fmt.Sprint(ts) != "[3 4 5 6 7 8 9 10 11 12]" {
+		t.Errorf("entry rows %v, want 3..12", ts)
+	}
+	if st := m.Stats(); st.BytesResident != bytes {
+		t.Errorf("entry costs %d bytes, its batches hold %d", st.BytesResident, bytes)
+	}
+}
+
+// TestTupleFillOfEmptySpanIsAnEntry: a bounded fill that kept no row
+// still publishes, because its empty entry answers its span.
+func TestTupleFillOfEmptySpanIsAnEntry(t *testing.T) {
+	m := New(Config{Policy: LRU, Granularity: TupleGranular})
+	put(m, "a", rowsFrom(0, 5), Span{Lo: 100, Hi: 200})
+	if got, ok := m.Get("a", Span{Lo: 120, Hi: 180}); !ok || len(got) != 0 {
+		t.Errorf("empty span entry: %d batches, ok=%v; want a hit with none", len(got), ok)
 	}
 }
 
 func TestEmptyCommitStoresNothing(t *testing.T) {
 	m := New(Config{Policy: LRU, Granularity: FileGranular})
-	p := m.BeginPut("f1")
-	p.Commit(FullSpan())
+	p := m.BeginPut("f1", FullSpan(), -1)
+	p.Commit()
 	if st := m.Stats(); st.Entries != 0 {
 		t.Errorf("empty commit stored %d entries", st.Entries)
 	}
@@ -291,32 +362,32 @@ func TestEmptyCommitStoresNothing(t *testing.T) {
 
 func TestDropInvalidatesPendingInsert(t *testing.T) {
 	m := New(Config{Policy: LRU, Granularity: FileGranular})
-	p := m.BeginPut("f1")
+	p := m.BeginPut("f1", FullSpan(), -1)
 	p.Append(batchOfRows(3))
 	// The underlying file changed mid-stream: the drop must win.
 	m.Drop("f1")
-	p.Commit(FullSpan())
+	p.Commit()
 	if _, ok := m.Get("f1", FullSpan()); ok {
 		t.Error("Commit resurrected a dropped URI")
 	}
 	// The reservation is gone too: a fresh stream can start.
-	p2 := m.BeginPut("f1")
+	p2 := m.BeginPut("f1", FullSpan(), -1)
 	if p2 == nil {
 		t.Fatal("drop did not release the reservation")
 	}
 	p2.Append(batchOfRows(1))
-	p2.Commit(FullSpan())
-	if b, ok := m.Get("f1", FullSpan()); !ok || b.Len() != 1 {
+	p2.Commit()
+	if b, ok := m.Get("f1", FullSpan()); !ok || rows(b) != 1 {
 		t.Error("fresh stream after drop failed")
 	}
 }
 
 func TestClearInvalidatesPendingInserts(t *testing.T) {
 	m := New(Config{Policy: LRU, Granularity: FileGranular})
-	p := m.BeginPut("f1")
+	p := m.BeginPut("f1", FullSpan(), -1)
 	p.Append(batchOfRows(3))
 	m.Clear()
-	p.Commit(FullSpan())
+	p.Commit()
 	if st := m.Stats(); st.Entries != 0 {
 		t.Errorf("pending insert repopulated a cleared cache: %d entries", st.Entries)
 	}
@@ -331,8 +402,8 @@ func TestOnInvalidateHook(t *testing.T) {
 	fired := 0
 	m.SetOnInvalidate(func() { fired++ })
 
-	m.Put("f1", batchOfRows(3), FullSpan())
-	m.Put("f2", batchOfRows(3), FullSpan()) // evicts f1 (budget of 1 byte)
+	put(m, "f1", batchOfRows(3), FullSpan())
+	put(m, "f2", batchOfRows(3), FullSpan()) // evicts f1 (budget of 1 byte)
 	m.Get("f1", FullSpan())
 	if st := m.Stats(); st.Evictions == 0 {
 		t.Fatal("test setup: no eviction happened")

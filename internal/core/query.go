@@ -297,7 +297,6 @@ func (e *Engine) newExecEnv(p *Prepared, bp *Breakpoint) *exec.Env {
 	env := &exec.Env{
 		Store:       e.store,
 		Adapters:    e.reg,
-		RepoDir:     e.opts.RepoDir,
 		Cache:       e.cache,
 		Results:     make(map[string]*exec.Materialized),
 		Indexes:     e.indexes,

@@ -27,12 +27,12 @@ import (
 // handle, and the caller becomes its owner — it may mutate the batch
 // through the vector mutation API (Set, Append*, Permute, Mutable*),
 // which materializes a private copy whenever the underlying storage is
-// still shared with a cache entry, a flight replay buffer or a replayed
-// result. An operator that keeps rows beyond the next call (retention
-// buffers, materializations) takes its own Share instead of retaining
-// the handle it emitted. No operator in this package mutates its input
-// in place except sort, whose Permute goes through the copy-on-write
-// entry points.
+// still shared with a cache entry, a flight's window or a replayed
+// result. An operator that keeps rows beyond the next call (a join's
+// build side, a sort's materialization) takes its own Share instead of
+// retaining the handle it emitted. No operator in this package mutates
+// its input in place except sort, whose Permute goes through the
+// copy-on-write entry points.
 type Operator interface {
 	Schema() []plan.ColInfo
 	Next() (*vector.Batch, error)
@@ -149,13 +149,11 @@ type CardinalityOracle interface {
 }
 
 // Env is everything operators need to run: storage, adapters, the
-// repository location, the ingestion cache, materialized results for
-// result-scans, registered indexes, and the I/O cost model for charging
-// mounts.
+// mount service, the ingestion cache, materialized results for
+// result-scans and registered indexes.
 type Env struct {
 	Store    *storage.Store
 	Adapters *catalog.AdapterRegistry
-	RepoDir  string
 	Cache    *cache.Manager
 	Results  map[string]*Materialized
 	Indexes  []IndexInfo
@@ -175,51 +173,17 @@ type Env struct {
 	// and mount-service flights update it under statsMu via
 	// addMountStats; read it through MountsSnapshot.
 	Mounts *MountStats
-	// OnMount, when set, observes every mounted pre-filter batch
-	// (record-aligned, possibly several per file) — the hook used to
-	// derive metadata "as a side-effect of ALi, without the explorer
-	// noticing". It must be safe for concurrent use. When MountSvc is
-	// set the engine wires the hook into the service instead and this
-	// field is ignored.
-	OnMount func(uri string, full *vector.Batch)
 	// MountSvc is the engine-owned mount service every query of the
-	// engine shares: single-flight extraction, streaming fan-out and the
-	// cross-query admission budget. When nil (operator-level tests and
-	// standalone envs) a private service is built on first use from the
-	// env's own fields.
+	// engine shares: single-flight extraction, streaming fan-out, the
+	// cross-query admission budget and the ingestion cache's fill. A
+	// mount without one fails.
 	MountSvc *mountsvc.Service
-	// MountBudgetBytes configures the lazily built private service's
-	// admission budget; ignored when MountSvc is set.
-	MountBudgetBytes int64
 	// Card, when set, is the statistics-free cardinality oracle built
 	// from the frozen Qf result: hash joins consult it to build on the
 	// provably smaller side. It must be read-only during execution.
 	Card CardinalityOracle
 
 	statsMu sync.Mutex
-	svcOnce sync.Once
-	lazySvc *mountsvc.Service
-}
-
-// service returns the mount service operators stream files through.
-func (e *Env) service() *mountsvc.Service {
-	if e.MountSvc != nil {
-		return e.MountSvc
-	}
-	e.svcOnce.Do(func() {
-		var pool *storage.BufferPool
-		if e.Store != nil {
-			pool = e.Store.Pool()
-		}
-		e.lazySvc = mountsvc.New(mountsvc.Config{
-			RepoDir:     e.RepoDir,
-			Pool:        pool,
-			Cache:       e.Cache,
-			OnMount:     e.OnMount,
-			BudgetBytes: e.MountBudgetBytes,
-		})
-	})
-	return e.lazySvc
 }
 
 // MountsSnapshot returns a copy of the accumulated mount statistics,

@@ -446,11 +446,13 @@ func (j *indexJoin) Next() (*vector.Batch, error) {
 			}
 			lb = lb.Gather(sel)
 		}
-		rsel := make([]int, lb.Len())
-		for i := range rsel {
-			rsel[i] = rrow
+		// The one right row pairs with every looked-up row: each of its
+		// columns is a Const of lb.Len() rows, never written out.
+		rb := &vector.Batch{Cols: make([]*vector.Vector, len(j.rightAll.Cols))}
+		for c, col := range j.rightAll.Cols {
+			rb.Cols[c] = vector.Const(col.Get(rrow), lb.Len())
 		}
-		return concatBatches(lb, j.rightAll.Gather(rsel)), nil
+		return concatBatches(lb, rb), nil
 	}
 	return nil, nil
 }

@@ -11,39 +11,29 @@ import (
 	"repro/internal/vector"
 )
 
-// mountOp performs ALi for one file: a thin cursor over the engine's
-// shared mount service. The service owns extraction (single-flight
-// across queries, streaming, budget-gated); the operator owns what is
-// query-specific — evaluating the fused σ∘mount predicate on every
-// record batch as it arrives, and tuple-granular cache retention of the
-// rows inside the predicate's span. Mounted data is a dangling partial
-// table: it vanishes with the query unless the cache policy retains it.
+// mountOp performs ALi for one file: a cursor over the engine's shared
+// mount service plus the fused σ∘mount predicate, evaluated on every
+// record batch as it arrives. The service owns extraction (single-flight
+// across queries, streaming, budget-gated) and is the ingestion cache's
+// one writer; the operator owns only what is query-specific. Mounted
+// data is a dangling partial table: it vanishes with the query unless
+// the cache policy retains it.
 type mountOp struct {
 	node    *plan.Mount
 	env     *Env
 	adapter catalog.FormatAdapter
 	schema  []plan.ColInfo
 
-	cur      mountsvc.Cursor
-	started  bool
-	finished bool
-
-	// Tuple-granular retention: the rows inside retainSpan, inserted only
-	// after the stream fully drains (a partial entry would serve wrong
-	// answers to later queries). An entry must hold every row of the span
-	// it claims, so when the fused predicate says more than its span,
-	// start splits it: pred keeps the span conjuncts, which decide what
-	// is retained, and rest the others, which the emitted rows must pass
-	// as well. Otherwise pred is the whole predicate and rest is nil.
-	retain     *Materialized
-	retainSpan cache.Span
-	pred, rest expr.Expr
+	cur mountsvc.Cursor
 }
 
 func newMount(n *plan.Mount, env *Env) (Operator, error) {
 	ad, ok := env.Adapters.Get(n.Adapter)
 	if !ok {
 		return nil, fmt.Errorf("exec: mount with unknown adapter %s", n.Adapter)
+	}
+	if env.MountSvc == nil {
+		return nil, fmt.Errorf("exec: mount %s without a mount service", n.URI)
 	}
 	return &mountOp{node: n, env: env, adapter: ad, schema: n.Schema()}, nil
 }
@@ -53,25 +43,13 @@ func (m *mountOp) Schema() []plan.ColInfo { return m.schema }
 
 // start attaches the cursor to the mount service.
 func (m *mountOp) start() error {
-	sp := plan.ColumnSpan(m.node.Pred, m.node.Binding+"."+m.adapter.DataSpanColumn())
-	span := SpanNeed(sp)
-	m.pred = m.node.Pred
-	if m.env.Cache != nil &&
-		m.env.Cache.Config().Policy != cache.NeverCache &&
-		m.env.Cache.Config().Granularity == cache.TupleGranular {
-		m.retain = &Materialized{Schema: m.schema}
-		m.retainSpan = span
-		if len(sp.Residual) > 0 {
-			m.pred, m.rest = expr.JoinAnd(sp.Absorbed), expr.JoinAnd(sp.Residual)
-		}
-	}
 	env := m.env
-	cur, err := env.service().Mount(mountsvc.Request{
+	cur, err := env.MountSvc.Mount(mountsvc.Request{
 		URI:       m.node.URI,
 		Ctx:       env.Ctx,
 		Session:   env.Session,
 		Adapter:   m.adapter,
-		Span:      span,
+		Span:      SpanNeed(plan.ColumnSpan(m.node.Pred, m.node.Binding+"."+m.adapter.DataSpanColumn())),
 		BatchRows: env.batchSize(),
 		EstBytes:  m.node.EstBytes,
 		Observe: func(d mountsvc.Delta) {
@@ -101,68 +79,42 @@ func (m *mountOp) start() error {
 // Next implements Operator: pull a record batch from the service, apply
 // the fused predicate, emit the survivors.
 func (m *mountOp) Next() (*vector.Batch, error) {
-	if !m.started {
+	if m.cur == nil {
 		if err := m.start(); err != nil {
 			return nil, err
 		}
-		m.started = true
 	}
 	for {
-		if m.finished {
-			return nil, nil
-		}
 		b, err := m.cur.Next()
-		if err != nil {
+		if b == nil || err != nil {
 			return nil, err
 		}
-		if b == nil {
-			m.finished = true
-			if m.retain != nil {
-				// Put takes its own share of the flattened retention
-				// batches; no deep copy is needed even when Flatten
-				// returned an emitted batch itself.
-				m.env.Cache.Put(m.node.URI, m.retain.Flatten(), m.retainSpan)
-			}
-			return nil, nil
-		}
-		// b is a copy-on-write share of the flight's replay buffer: it
-		// can be emitted downstream as-is. A client mutating this query's
-		// result materializes a private copy and can never corrupt
-		// another query riding the same extraction.
-		filtered, err := filterBatch(b, m.pred)
-		if err != nil {
+		// b is a copy-on-write share of the flight's window: it can be
+		// emitted downstream as-is. A client mutating this query's result
+		// materializes a private copy and can never corrupt another query
+		// riding the same extraction, nor the cache entry it fills.
+		if b, err = filterBatch(b, m.node.Pred); err != nil {
 			return nil, err
 		}
-		if m.retain != nil && filtered.Len() > 0 {
-			// The retention buffer is a second owner of these rows: it
-			// keeps its own handle so downstream mutations of the emitted
-			// batch cannot reach the future cache entry.
-			m.retain.Batches = append(m.retain.Batches, filtered.Share())
+		if b.Len() > 0 {
+			return b, nil
 		}
-		if filtered, err = filterBatch(filtered, m.rest); err != nil {
-			return nil, err
-		}
-		if filtered.Len() == 0 {
-			continue
-		}
-		return filtered, nil
 	}
 }
 
-// Close implements Operator. A stream closed before draining skips
-// tuple-granular retention (the entry would be incomplete) and detaches
+// Close implements Operator. A stream closed before draining detaches
 // from the flight without affecting other queries riding it.
 func (m *mountOp) Close() error {
-	m.retain = nil
 	if m.cur != nil {
 		return m.cur.Close()
 	}
 	return nil
 }
 
-// cacheScanOp serves previously mounted data from the ingestion cache.
-// If the entry was evicted between planning and execution it records the
-// fallback and streams a fresh mount instead.
+// cacheScanOp serves previously mounted data from the ingestion cache,
+// filtering the entry's batches one by one. If the entry was evicted
+// between planning and execution it records the fallback and streams a
+// fresh mount instead.
 type cacheScanOp struct {
 	node   *plan.CacheScan
 	env    *Env
@@ -170,9 +122,7 @@ type cacheScanOp struct {
 
 	started  bool
 	fallback Operator
-
-	out *vector.Batch
-	pos int
+	batches  []*vector.Batch // the entry's shares not yet served
 }
 
 func newCacheScan(n *plan.CacheScan, env *Env) (Operator, error) {
@@ -196,7 +146,14 @@ func (c *cacheScanOp) Next() (*vector.Batch, error) {
 	if c.fallback != nil {
 		return c.fallback.Next()
 	}
-	return emitChunk(c.out, &c.pos, c.env.batchSize()), nil
+	for len(c.batches) > 0 {
+		b, err := filterBatch(c.batches[0], c.node.Pred)
+		c.batches = c.batches[1:]
+		if err != nil || b.Len() > 0 {
+			return b, err
+		}
+	}
+	return nil, nil
 }
 
 func (c *cacheScanOp) load() error {
@@ -227,13 +184,11 @@ func (c *cacheScanOp) load() error {
 	c.env.addMountStats(func(ms *MountStats) {
 		ms.CacheHits++
 	})
-	// cached is a copy-on-write share of the entry: serving it (chunked
-	// by emitChunk below) costs no copy, and a consumer mutating the
-	// served rows materializes its own storage without touching the
-	// cache.
-	var err error
-	c.out, err = filterBatch(cached, c.node.Pred)
-	return err
+	// cached holds copy-on-write shares of the entry's batches: serving
+	// them costs no copy, and a consumer mutating the served rows
+	// materializes its own storage without touching the cache.
+	c.batches = cached
+	return nil
 }
 
 // Close implements Operator.
@@ -268,18 +223,4 @@ func filterBatch(b *vector.Batch, pred expr.Expr) (*vector.Batch, error) {
 		return b.Gather(sel), nil
 	}
 	return b, nil
-}
-
-// emitChunk slices the materialized batch into batch-sized outputs.
-func emitChunk(out *vector.Batch, pos *int, size int) *vector.Batch {
-	if out == nil || *pos >= out.Len() {
-		return nil
-	}
-	hi := *pos + size
-	if hi > out.Len() {
-		hi = out.Len()
-	}
-	b := out.Slice(*pos, hi)
-	*pos = hi
-	return b
 }

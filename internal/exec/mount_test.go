@@ -44,12 +44,20 @@ func mountEnv(t *testing.T, cacheCfg cache.Config) (*Env, *repo.Manifest, catalo
 	env := &Env{
 		Store:    store,
 		Adapters: reg,
-		RepoDir:  m.Dir,
 		Cache:    cache.New(cacheCfg),
 		Results:  make(map[string]*Materialized),
 		Mounts:   &MountStats{},
 	}
-	return env, m, dataDef
+	return withService(env, m.Dir, mountsvc.Config{}), m, dataDef
+}
+
+// withService gives env a mount service over the repository at dir and
+// the env's own buffer pool and ingestion cache; cfg supplies the rest
+// (a hook, a window).
+func withService(env *Env, dir string, cfg mountsvc.Config) *Env {
+	cfg.RepoDir, cfg.Pool, cfg.Cache = dir, env.Store.Pool(), env.Cache
+	env.MountSvc = mountsvc.New(cfg)
+	return env
 }
 
 func mountNode(m *repo.Manifest, def catalog.TableDef, pred expr.Expr) *plan.Mount {
@@ -111,7 +119,9 @@ func TestMountFusedSelectionPrunes(t *testing.T) {
 func TestMountOnMountHookSeesFullRecords(t *testing.T) {
 	env, m, def := mountEnv(t, cache.Config{})
 	var hookRows int
-	env.OnMount = func(uri string, full *vector.Batch) { hookRows = full.Len() }
+	withService(env, m.Dir, mountsvc.Config{
+		OnMount: func(uri string, full *vector.Batch) { hookRows = full.Len() },
+	})
 	f := m.Files[0]
 	pred := spanPred(def, f.StartTime, f.StartTime+1) // ~1 row survives
 	mat, err := Run(mountNode(m, def, pred), env)
@@ -204,8 +214,8 @@ func TestFileGranularCachePutsWholeFile(t *testing.T) {
 	if !ok {
 		t.Fatal("file not cached")
 	}
-	if cached.Len() != 1000 {
-		t.Errorf("cached %d rows, want the full 1000", cached.Len())
+	if n := vector.Concat(cached).Len(); n != 1000 {
+		t.Errorf("cached %d rows, want the full 1000", n)
 	}
 }
 
@@ -266,7 +276,7 @@ func TestCachedEntrySurvivesDownstreamMutation(t *testing.T) {
 	if !ok {
 		t.Fatal("file not cached")
 	}
-	wantFirst := entry.Cols[3].Float64s()[0]
+	wantFirst := entry[0].Cols[3].Float64s()[0]
 
 	cs := &plan.CacheScan{URI: m.Files[0].URI, Adapter: seismic.AdapterName, Binding: "D", Def: def}
 	// A descending sort over the cache-scan reorders every row.
@@ -285,10 +295,10 @@ func TestCachedEntrySurvivesDownstreamMutation(t *testing.T) {
 	if !ok {
 		t.Fatal("entry vanished")
 	}
-	if got := entry2.Cols[3].Float64s()[0]; got != wantFirst {
+	if got := entry2[0].Cols[3].Float64s()[0]; got != wantFirst {
 		t.Fatalf("cached entry corrupted: first value %v, want %v", got, wantFirst)
 	}
-	ts := entry2.Cols[2].Int64s()
+	ts := vector.Concat(entry2).Cols[2].Int64s()
 	for i := 1; i < len(ts); i++ {
 		if ts[i] < ts[i-1] {
 			t.Fatal("cached entry row order changed by downstream sort")
@@ -387,7 +397,6 @@ func TestConcurrentMountsOfOneFile(t *testing.T) {
 // drained, so it cannot even ride input i's flight.
 func TestMountAttachesAtFirstNext(t *testing.T) {
 	env, m, def := mountEnv(t, cache.Config{})
-	env.MountSvc = mountsvc.New(mountsvc.Config{RepoDir: m.Dir})
 	const inputs, fileRows = 3, 1000
 	u := &plan.UnionAll{}
 	for range inputs {

@@ -69,3 +69,17 @@ func (s *sortOp) Next() (*vector.Batch, error) {
 
 // Close implements Operator.
 func (s *sortOp) Close() error { return s.child.Close() }
+
+// emitChunk slices the materialized batch into batch-sized outputs.
+func emitChunk(out *vector.Batch, pos *int, size int) *vector.Batch {
+	if out == nil || *pos >= out.Len() {
+		return nil
+	}
+	hi := *pos + size
+	if hi > out.Len() {
+		hi = out.Len()
+	}
+	b := out.Slice(*pos, hi)
+	*pos = hi
+	return b
+}

@@ -15,9 +15,9 @@ import (
 //     continuation, or be registered in a defer. The gate panics on a
 //     double release, so a lost one is pure budget leakage: the gate
 //     over-admits forever after.
-//   - cache.Manager.BeginPut(uri) — the returned Pending holds a
-//     reservation against double-inserts; every path must Commit or
-//     Abort it, or later Puts for the URI are refused forever.
+//   - cache.Manager.BeginPut(uri, span, col) — the returned Pending
+//     holds a reservation against double-inserts; every path must Commit
+//     or Abort it, or later fills of the URI are refused forever.
 //
 // The analysis is intraprocedural with explicit escape hatches, like
 // x/tools' lostcancel: an acquisition whose handle escapes the

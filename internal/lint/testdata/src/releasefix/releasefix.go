@@ -48,15 +48,15 @@ func leakDiscardedError(g *admission.Gate) {
 }
 
 func leakPendingDiscard(m *cache.Manager) {
-	m.BeginPut("file://a") // want `result of cache.BeginPut is discarded`
+	m.BeginPut("file://a", cache.FullSpan(), -1) // want `result of cache.BeginPut is discarded`
 }
 
 func leakPendingEarlyReturn(m *cache.Manager, fail bool) error {
-	p := m.BeginPut("file://b") // want `cache.BeginPut is not released on every path`
+	p := m.BeginPut("file://b", cache.FullSpan(), -1) // want `cache.BeginPut is not released on every path`
 	if fail {
 		return errors.New("reservation leaked")
 	}
-	p.Commit(cache.FullSpan())
+	p.Commit()
 	return nil
 }
 
@@ -100,21 +100,21 @@ func okWrapper(ctx context.Context, g *admission.Gate) error {
 }
 
 func okPendingBothPaths(m *cache.Manager, fail bool) error {
-	p := m.BeginPut("file://c")
+	p := m.BeginPut("file://c", cache.FullSpan(), -1)
 	if fail {
 		p.Abort()
 		return errors.New("aborted")
 	}
-	p.Commit(cache.FullSpan())
+	p.Commit()
 	return nil
 }
 
 func okPendingEscapesByReturn(m *cache.Manager) *cache.Pending {
-	return m.BeginPut("file://d") // the caller owns the reservation
+	return m.BeginPut("file://d", cache.FullSpan(), -1) // the caller owns the reservation
 }
 
 func okPendingEscapesToClosure(m *cache.Manager) func() {
-	p := m.BeginPut("file://e")
+	p := m.BeginPut("file://e", cache.FullSpan(), -1)
 	return func() { p.Abort() } // the closure owns the reservation
 }
 

@@ -64,8 +64,8 @@ type Config struct {
 	// Pool, when set, models the cost of reading repository files (cold
 	// pages are charged to the disk model; hot repeats are free).
 	Pool *storage.BufferPool
-	// Cache is the ingestion cache the service fills under file-granular
-	// retention. May be nil.
+	// Cache is the ingestion cache; the service's flights are its one
+	// writer, at either granularity. May be nil.
 	Cache *cache.Manager
 	// OnMount, when set, observes every extracted pre-filter batch
 	// (record-aligned, so per-record summaries stay correct). It is
@@ -128,7 +128,9 @@ type Request struct {
 	// decoding. FullSpan means the whole file is needed.
 	Span cache.Span
 	// BatchRows caps rows per yielded batch (record-aligned; see
-	// catalog.FormatAdapter.MountStream). <= 0 selects the default.
+	// catalog.FormatAdapter.MountStream). <= 0 selects the default. A
+	// request served from the cache gets the batches of the flight that
+	// filled it.
 	BatchRows int
 	// EstBytes, when in (0, file size), is the planner's estimate of the
 	// bytes this mount will actually buffer (span-surviving records
@@ -249,13 +251,16 @@ func (s *Service) count(update func(*Stats)) {
 // Gate exposes the admission gate (benchmarks sample per-session waits).
 func (s *Service) Gate() *admission.Gate { return s.gate }
 
+// caching reports whether flights fill the ingestion cache.
+func (s *Service) caching() bool {
+	return s.cfg.Cache != nil && s.cfg.Cache.Config().Policy != cache.NeverCache
+}
+
 // fileGranular reports whether the cache retains whole files, in which
 // case flights must extract (and cache) the full file regardless of the
 // requested span.
 func (s *Service) fileGranular() bool {
-	return s.cfg.Cache != nil &&
-		s.cfg.Cache.Config().Policy != cache.NeverCache &&
-		s.cfg.Cache.Config().Granularity == cache.FileGranular
+	return s.caching() && s.cfg.Cache.Config().Granularity == cache.FileGranular
 }
 
 // Mount resolves a request to a batch cursor: joining an in-progress
@@ -294,16 +299,16 @@ func (s *Service) Mount(req Request) (Cursor, error) {
 	// Planning races: rule (1) may have chosen Mount while the cache was
 	// still empty; by execution time a completed flight may have filled
 	// it. Only file-granular entries are safe to serve here (they hold
-	// the whole file; tuple-granular entries hold another query's
-	// filtered rows and stay the planner's business).
+	// the whole file; a tuple-granular entry holds only the rows of
+	// another flight's span and stays the planner's business).
 	if s.fileGranular() {
-		if b, ok := s.cfg.Cache.Get(req.URI, span); ok {
+		if bs, ok := s.cfg.Cache.Get(req.URI, span); ok {
 			s.count(func(st *Stats) { st.CacheServes++ })
 			s.fmu.Unlock()
 			if req.Observe != nil {
 				req.Observe(Delta{FromCache: true})
 			}
-			return &staticCursor{b: b, size: req.BatchRows}, nil
+			return &staticCursor{batches: bs}, nil
 		}
 	}
 	f := &flight{uri: req.URI, span: span, size: st.Size(), admitBytes: st.Size(), session: req.Session,
@@ -353,11 +358,14 @@ func (s *Service) run(f *flight, observe func(Delta)) {
 		s.cfg.Pool.Touch(f.path, f.size)
 	}
 
-	// File-granular retention streams into the cache as batches arrive;
-	// the reservation keeps a concurrent Put from double-inserting.
+	// The cache fill streams every extracted batch into the flight's
+	// reservation, and the cache keeps what its granularity says: the
+	// whole file, or the rows inside the flight's span. A flight that
+	// finds the URI reserved by another fills nothing.
 	var pending *cache.Pending
-	if s.fileGranular() {
-		pending = s.cfg.Cache.BeginPut(f.uri)
+	if s.caching() {
+		_, _, data := f.adapter.Tables()
+		pending = s.cfg.Cache.BeginPut(f.uri, f.span, data.ColumnIndex(f.adapter.DataSpanColumn()))
 	}
 
 	rows, pruned := 0, 0
@@ -385,7 +393,7 @@ func (s *Service) run(f *flight, observe func(Delta)) {
 		finish(err)
 		return
 	}
-	pending.Commit(cache.FullSpan())
+	pending.Commit()
 	saved := f.size - f.admitBytes
 	s.count(func(st *Stats) { st.AdmissionBytesSaved += saved })
 	if observe != nil {
@@ -786,29 +794,25 @@ func (c *flightCursor) Close() error {
 	return nil
 }
 
-// staticCursor chunks an already resident batch (a cache entry share).
-// Chunks are copy-on-write slices aliasing the entry's storage: reads
-// are free, and a consumer writing to a chunk materializes a private
-// copy without touching the entry.
+// staticCursor walks the batches of a cache entry: copy-on-write shares
+// aliasing the entry's storage, so reads are free, and a consumer
+// writing to one materializes a private copy without touching the entry.
 type staticCursor struct {
-	b    *vector.Batch
-	pos  int
-	size int
+	batches []*vector.Batch
 }
 
 // Next implements Cursor.
 func (c *staticCursor) Next() (*vector.Batch, error) {
-	if c.b == nil || c.pos >= c.b.Len() {
+	if len(c.batches) == 0 {
 		return nil, nil
 	}
-	hi := min(c.pos+c.size, c.b.Len())
-	out := c.b.Slice(c.pos, hi)
-	c.pos = hi
-	return out, nil
+	b := c.batches[0]
+	c.batches = c.batches[1:]
+	return b, nil
 }
 
 // Close implements Cursor.
 func (c *staticCursor) Close() error {
-	c.b = nil
+	c.batches = nil
 	return nil
 }

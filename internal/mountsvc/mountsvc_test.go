@@ -475,7 +475,7 @@ func TestFileGranularFlightFillsCacheAndShortCircuits(t *testing.T) {
 	if got := drain(t, cur); got != 40 {
 		t.Errorf("rows = %d, want the full 40 under file-granular caching", got)
 	}
-	if b, ok := mgr.Get("a.slow", cache.FullSpan()); !ok || b.Len() != 40 {
+	if bs, ok := mgr.Get("a.slow", cache.FullSpan()); !ok || len(bs) != 4 {
 		t.Fatalf("flight did not stream the whole file into the cache")
 	}
 
@@ -497,6 +497,41 @@ func TestFileGranularFlightFillsCacheAndShortCircuits(t *testing.T) {
 	}
 	if ad.extractions.Load() != 1 || fromCache.Load() != 1 {
 		t.Errorf("extractions=%d fromCache=%d, want 1 and 1", ad.extractions.Load(), fromCache.Load())
+	}
+}
+
+// TestTupleGranularFlightFillsItsSpan: under tuple granularity the
+// flight is the cache's writer too, and the entry holds exactly the rows
+// of the flight's span — records outside it are pruned unread, and a
+// record the span cuts keeps only its rows inside.
+func TestTupleGranularFlightFillsItsSpan(t *testing.T) {
+	ad := &slowAdapter{nBatches: 4, batchLen: 10}
+	dir := testFiles(t, map[string]int{"a.slow": 1 << 12})
+	mgr := cache.New(cache.Config{Policy: cache.LRU, Granularity: cache.TupleGranular})
+	svc := New(Config{RepoDir: dir, Cache: mgr})
+
+	span := cache.Span{Lo: 105, Hi: 205}
+	cur, err := svc.Mount(Request{URI: "a.slow", Adapter: ad, Span: span})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := drain(t, cur); got != 20 {
+		t.Errorf("rows = %d, want records 1 and 2 whole (20)", got)
+	}
+	bs, ok := mgr.Get("a.slow", span)
+	if !ok {
+		t.Fatal("flight did not fill a tuple entry")
+	}
+	var ts []int64
+	for _, b := range bs {
+		ts = append(ts, b.Cols[2].Int64s()...)
+	}
+	want := []int64{105, 106, 107, 108, 109, 200, 201, 202, 203, 204, 205}
+	if !reflect.DeepEqual(ts, want) {
+		t.Errorf("entry span column = %v, want %v", ts, want)
+	}
+	if mgr.Contains("a.slow", cache.FullSpan()) {
+		t.Error("tuple entry covers the whole file")
 	}
 }
 

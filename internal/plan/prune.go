@@ -8,7 +8,7 @@ import "repro/internal/expr"
 // columns, projections, the final output); a ResultScan keeps only
 // those, a Join emits only those (Emit), and a Project drops the rest
 // of its expressions. Scans, mounts, cache-scans and unions keep their
-// full schema: ingestion-cache entries, span retention and spill frames
+// full schema: ingestion-cache entries and spill frames
 // store whole rows. No node loses its last column, so row counts survive
 // COUNT(*). The engine prunes the Stage-2 plan right after rule (1),
 // once the fingerprint, subsumption summary and Qf were computed
